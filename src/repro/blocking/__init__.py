@@ -40,6 +40,10 @@ BLOCKER_REGISTRY: Dict[str, Callable[[str], Blocker]] = {
     "overlap_stop": lambda attribute: OverlapBlocker(
         attribute, min_overlap=1, stop_fraction=0.5
     ),
+    # The stop filter every stock workload blocks with (default_blocker).
+    "overlap_stop_default": lambda attribute: OverlapBlocker(
+        attribute, min_overlap=1, stop_fraction=0.15
+    ),
     "sorted_neighborhood": lambda attribute: SortedNeighborhoodBlocker(
         attribute, window=3
     ),

@@ -130,29 +130,6 @@ class AttributeEquivalenceBlocker(Blocker):
             partners |= other_missing
         return partners
 
-    def _save_index_extra(self) -> object:
-        if not hasattr(self, "_key_of_a"):
-            return None
-        return (
-            {key: set(ids) for key, ids in self._by_key_a.items()},
-            {key: set(ids) for key, ids in self._by_key_b.items()},
-            set(self._missing_a),
-            set(self._missing_b),
-            dict(self._key_of_a),
-            dict(self._key_of_b),
-        )
-
-    def _restore_index_extra(self, extra: object) -> None:
-        if extra is None:
-            return
-        by_key_a, by_key_b, missing_a, missing_b, key_of_a, key_of_b = extra
-        self._by_key_a = defaultdict(set, {k: set(v) for k, v in by_key_a.items()})
-        self._by_key_b = defaultdict(set, {k: set(v) for k, v in by_key_b.items()})
-        self._missing_a = set(missing_a)
-        self._missing_b = set(missing_b)
-        self._key_of_a = dict(key_of_a)
-        self._key_of_b = dict(key_of_b)
-
     def _delta_pairs(
         self, table_a: Table, table_b: Table, delta
     ) -> Tuple[Set[PairId], Set[PairId]]:

@@ -10,23 +10,24 @@ bitmaps are stable across runs.
 Streaming extension
 -------------------
 ``block()`` additionally snapshots the produced pair set (and, for
-blockers that can, an inverted index over the blocking values), after
-which :meth:`Blocker.pairs_for_delta` answers *"which candidate pairs does
-this record-level delta gain or lose?"* without consulting a matcher:
+blockers that can, an index over the blocking values), after which
+:meth:`Blocker.pairs_for_delta` answers *"which candidate pairs does this
+record-level delta gain or lose?"* without consulting a matcher:
 
-* Blockers whose candidate membership is **local** — a pair's survival
-  depends only on the two records' own values (Cartesian, attribute
-  equivalence, token overlap without a stop-token filter, rule-based
-  filters over those) — maintain their index incrementally and answer in
-  O(degree of the changed record).  Their ``delta_strategy`` is
-  ``"index"``.
-* Blockers with **global** candidate membership — sorted neighborhood
-  (window positions shift), canopy (seeding changes), overlap with a
-  stop-token filter (document frequencies move the stop set), and the
-  set combinators — fall back to re-running ``_pair_ids`` on the post-
-  delta tables and diffing against the snapshot.  Exactly the full
-  re-block, minus re-building the CandidateSet.  Their ``delta_strategy``
-  is ``"reblock"``.
+* ``"index"`` blockers maintain their index incrementally and answer
+  without re-blocking.  For Cartesian, attribute equivalence, and the
+  rule-based filters over them, membership is **local** — a pair's
+  survival depends only on the two records' own values — so only pairs
+  incident to the changed record move, found in O(degree).  Token
+  overlap is ``"index"`` too, with or without a stop-token filter; with
+  one, a B-side delta can flip tokens in or out of the stop set, and the
+  blocker re-checks only the pairs that share a flipped token (see
+  :mod:`repro.blocking.overlap`).
+* ``"reblock"`` blockers have membership too **global** to index —
+  sorted neighborhood (window positions shift), canopy (seeding
+  changes), limited Cartesian, and the set combinators.  They re-run
+  ``_pair_ids`` on the post-delta tables and diff against the snapshot:
+  exactly the full re-block, minus re-building the CandidateSet.
 
 Both strategies return *exactly* the symmetric difference of full
 ``block()`` runs before/after the delta — a Hypothesis property test
@@ -67,8 +68,8 @@ class Blocker(ABC):
 
     name: str = "blocker"
     #: how :meth:`pairs_for_delta` computes its answer — ``"index"`` when
-    #: an incrementally maintained index yields the delta locally,
-    #: ``"reblock"`` when it re-runs ``_pair_ids`` and diffs.
+    #: an incrementally maintained index yields the delta without
+    #: re-blocking, ``"reblock"`` when it re-runs ``_pair_ids`` and diffs.
     delta_strategy: str = "reblock"
 
     def block(self, table_a: Table, table_b: Table) -> CandidateSet:
@@ -135,40 +136,6 @@ class Blocker(ABC):
             for b_id in b_ids
         }
 
-    def save_delta_index(self) -> object:
-        """Opaque copy of the delta-maintenance state, for
-        :meth:`restore_delta_index`.
-
-        Streaming ingestion brackets a batch with save/restore so that a
-        failure mid-batch cannot leave the snapshot (or a subclass's
-        incremental index) advanced past the tables it describes.
-        """
-        if not getattr(self, "_snapshot_ready", False):
-            return None
-        return (
-            {a_id: set(b_ids) for a_id, b_ids in self._pairs_by_a.items()},
-            {b_id: set(a_ids) for b_id, a_ids in self._pairs_by_b.items()},
-            self._save_index_extra(),
-        )
-
-    def restore_delta_index(self, saved: object) -> None:
-        """Restore state captured by :meth:`save_delta_index`."""
-        if saved is None:
-            self._snapshot_ready = False
-            return
-        pairs_by_a, pairs_by_b, extra = saved
-        self._pairs_by_a = {a_id: set(b_ids) for a_id, b_ids in pairs_by_a.items()}
-        self._pairs_by_b = {b_id: set(a_ids) for b_id, a_ids in pairs_by_b.items()}
-        self._snapshot_ready = True
-        self._restore_index_extra(extra)
-
-    def _save_index_extra(self) -> object:
-        """Subclass hook: copy any incremental index beyond the snapshot."""
-        return None
-
-    def _restore_index_extra(self, extra: object) -> None:
-        """Subclass hook: restore what :meth:`_save_index_extra` copied."""
-
     def _snapshot(self, id_pairs: Iterable[PairId]) -> None:
         """Record the produced pair set for later delta computation."""
         self._pairs_by_a: Dict[str, Set[str]] = {}
@@ -192,13 +159,14 @@ class Blocker(ABC):
     def _local_delta(
         self, delta, pairs_for_record
     ) -> Tuple[Set[PairId], Set[PairId]]:
-        """Delta computation for blockers with local pair membership.
+        """The changed record's own share of a delta.
 
         ``pairs_for_record(record)`` returns the full pair set the (post-
         delta) record participates in; the delta is its difference with
-        the snapshot's incident pairs.  Only valid when no *other*
-        record's pair membership can change — the property test catches
-        misuse.
+        the snapshot's incident pairs.  That is the whole delta only when
+        no *other* record's pair membership can change; a blocker whose
+        delta can reach other pairs (stop-token overlap) adds those
+        itself.  The property test catches misuse.
         """
         old = self._incident_pairs(delta.side, delta.record_id)
         new: Set[PairId] = (

@@ -45,25 +45,20 @@ class RuleBasedBlocker(Blocker):
             if self.predicate(table_a.get(a_id), table_b.get(b_id)):
                 yield a_id, b_id
 
-    def _save_index_extra(self) -> object:
-        # The base blocker's snapshot (and any index of its own) advances
-        # with every delegated delta, so it is part of our rollback state.
-        return self.base.save_delta_index()
-
-    def _restore_index_extra(self, extra: object) -> None:
-        self.base.restore_delta_index(extra)
-
     def _delta_pairs(
         self, table_a: Table, table_b: Table, delta
     ) -> Tuple[Set[PairId], Set[PairId]]:
         base_delta = self.base.pairs_for_delta(table_a, table_b, delta)
-        ours = self.current_pairs()
+
+        def ours(a_id: str, b_id: str) -> bool:
+            return b_id in self._pairs_by_a.get(a_id, ())
+
         gained = {
             (a_id, b_id)
             for a_id, b_id in base_delta.gained
             if self.predicate(table_a.get(a_id), table_b.get(b_id))
         }
-        lost = set(base_delta.lost) & ours
+        lost = {pair_id for pair_id in base_delta.lost if ours(*pair_id)}
         if delta.op == "update":
             # Base pairs that survived the update but involve the changed
             # record: their predicate inputs changed, so membership may flip.
@@ -71,7 +66,7 @@ class RuleBasedBlocker(Blocker):
             persisting -= set(base_delta.gained)
             for a_id, b_id in persisting:
                 holds = self.predicate(table_a.get(a_id), table_b.get(b_id))
-                was_ours = (a_id, b_id) in ours
+                was_ours = ours(a_id, b_id)
                 if holds and not was_ours:
                     gained.add((a_id, b_id))
                 elif not holds and was_ours:

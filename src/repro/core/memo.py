@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import sys
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -95,6 +97,16 @@ class FeatureMemo(ABC):
 
         The snapshot may be restored any number of times; restoring never
         consumes it.
+        """
+
+    @abstractmethod
+    def with_rows(self, rows) -> "FeatureMemo":
+        """A new memo in the row layout of a :class:`~repro.data.pairs.RowDelta`.
+
+        Copy-on-write: entries of surviving pairs follow their rows, lost
+        pairs' entries go, and gained rows start empty; ``self`` is not
+        changed.  Streaming ingest calls this once per batch, so apart
+        from C-level copies its cost follows the delta.
         """
 
     # -- row-batch access (the columnar engine's view) -------------------
@@ -351,6 +363,15 @@ class ArrayMemo(FeatureMemo):
         self._valid = valid.copy()
         self._entries = entries
 
+    def with_rows(self, rows) -> "ArrayMemo":
+        memo = ArrayMemo(0, dtype=self.dtype)
+        memo.n_pairs = rows.size
+        memo._columns = dict(self._columns)
+        memo._values = rows.take(self._values, 0.0)
+        memo._valid = rows.take(self._valid, False)
+        memo._entries = int(np.count_nonzero(memo._valid))
+        return memo
+
     def __repr__(self) -> str:
         return (
             f"ArrayMemo({self.n_pairs} pairs x {len(self._columns)} features, "
@@ -369,6 +390,9 @@ class HashMemo(FeatureMemo):
         # the sizing arguments are advisory only.
         self.n_pairs = n_pairs
         self._store: Dict[Tuple[int, str], float] = {}
+        # Every feature name ever stored, so a row's entries can be found
+        # by probing instead of scanning the whole store.
+        self._names: Set[str] = set()
 
     def ensure_feature(self, feature_name: str) -> None:
         """No-op (hash memos need no column allocation)."""
@@ -378,6 +402,7 @@ class HashMemo(FeatureMemo):
 
     def put(self, pair_index: int, feature_name: str, value: float) -> None:
         self._store[(pair_index, feature_name)] = value
+        self._names.add(feature_name)
 
     def contains(self, pair_index: int, feature_name: str) -> bool:
         return (pair_index, feature_name) in self._store
@@ -396,19 +421,35 @@ class HashMemo(FeatureMemo):
         self._store.clear()
 
     def invalidate_pairs(self, pair_indices: Iterable[int]) -> int:
-        doomed = set(pair_indices)
-        if not doomed:
-            return 0
-        stale = [key for key in self._store if key[0] in doomed]
-        for key in stale:
-            del self._store[key]
-        return len(stale)
+        store = self._store
+        evicted = 0
+        for pair_index in {int(index) for index in pair_indices}:
+            for name in self._names:
+                if store.pop((pair_index, name), None) is not None:
+                    evicted += 1
+        return evicted
 
     def snapshot(self) -> object:
-        return dict(self._store)
+        return dict(self._store), set(self._names)
 
     def restore(self, snapshot: object) -> None:
-        self._store = dict(snapshot)
+        store, names = snapshot
+        self._store = dict(store)
+        self._names = set(names)
+
+    def with_rows(self, rows) -> "HashMemo":
+        memo = HashMemo(rows.size)
+        memo._names = set(self._names)
+        store = memo._store = dict(self._store)
+        for pair_index in rows.dropped.tolist():
+            for name in self._names:
+                store.pop((pair_index, name), None)
+        for hole, mover in zip(rows.holes.tolist(), rows.movers.tolist()):
+            for name in self._names:
+                value = store.pop((mover, name), None)
+                if value is not None:
+                    store[(hole, name)] = value
+        return memo
 
     def __repr__(self) -> str:
         return f"HashMemo({len(self._store)} entries)"

@@ -179,9 +179,21 @@ class DebugSession:
         """
         if self.engine != "auto":
             return self.engine
-        if self.kernels is None:
-            return "scalar"
-        return self.compile_plan(function).decision.engine
+        return self._engine_and_plan(function)[0]
+
+    def _engine_and_plan(self, function: MatchingFunction):
+        """``(engine, plan)`` for a run over ``function``, compiling at most once.
+
+        The plan is compiled whenever the engine is columnar or the
+        ``"auto"`` decision needs it, and is ``None`` otherwise; callers
+        that go on to execute a columnar plan use this one instead of
+        compiling a second time.
+        """
+        if self.engine == "scalar" or (self.engine == "auto" and self.kernels is None):
+            return "scalar", None
+        plan = self.compile_plan(function)
+        engine = plan.decision.engine if self.engine == "auto" else self.engine
+        return engine, plan
 
     def compile_plan(self, function: Optional[MatchingFunction] = None):
         """The :class:`~repro.engine.MatchPlan` for the current function.

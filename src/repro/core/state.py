@@ -343,70 +343,44 @@ class MatchState:
             bitmap[rows] = False
         return self.memo.invalidate_pairs(pair_indices)
 
-    def remapped(
-        self,
-        new_candidates: CandidateSet,
-        old_index_of: np.ndarray,
-    ) -> "MatchState":
-        """A new state over ``new_candidates``, gathering surviving facts.
+    def with_rows(self, candidates: CandidateSet, rows) -> "MatchState":
+        """A new state over ``candidates``, laid out by ``rows``.
 
-        ``old_index_of[i]`` is the pair's index in *this* state's candidate
-        set, or ``-1`` for pairs new to ``new_candidates`` (which start
-        with no facts: unmatched, unattributed, cold memo rows).  The
-        function, memo backend, and ``check_cache_first`` carry over; the
-        memo is rebuilt with surviving entries copied across.
+        ``candidates`` and ``rows`` (a :class:`~repro.data.pairs.RowDelta`)
+        come from one :meth:`~repro.data.pairs.CandidateSet.with_delta`
+        call on this state's candidate set.  Every surviving pair keeps its
+        facts — memo entries, label, attribution, rule and predicate bits —
+        under its new row; gained pairs start with none (unmatched,
+        unattributed, cold memo rows).  Copy-on-write: this state is not
+        changed, so an ingest that fails later can simply drop the copy.
+        The function, memo backend, and ``check_cache_first`` carry over.
         """
-        if len(old_index_of) != len(new_candidates):
+        if rows.size != len(candidates):
             raise StateError(
-                f"old_index_of length {len(old_index_of)} != new candidate "
-                f"count {len(new_candidates)}"
+                f"row delta over {rows.size} pairs does not fit "
+                f"{len(candidates)} candidates"
             )
-        old_index_of = np.asarray(old_index_of, dtype=np.int64)
-        survivors = old_index_of >= 0
-        gather = old_index_of[survivors]
-
-        if isinstance(self.memo, ArrayMemo):
-            names = list(self.memo._columns)
-            memo: FeatureMemo = ArrayMemo(
-                len(new_candidates), names, dtype=self.memo.dtype
-            )
-            for name in names:
-                old_column = self.memo._columns[name]
-                new_column = memo._columns[name]
-                memo._values[survivors, new_column] = self.memo._values[
-                    gather, old_column
-                ]
-                memo._valid[survivors, new_column] = self.memo._valid[
-                    gather, old_column
-                ]
-            memo._entries = int(memo._valid.sum())
-        else:
-            memo = type(self.memo)(len(new_candidates))
-            new_index_of = {
-                int(old): int(new)
-                for new, old in enumerate(old_index_of)
-                if old >= 0
-            }
-            for pair_index, feature_name, value in self.memo.items():
-                target = new_index_of.get(pair_index)
-                if target is not None:
-                    memo.put(target, feature_name, value)
-
         state = MatchState(
             self.function,
-            new_candidates,
-            memo,
+            candidates,
+            self.memo.with_rows(rows),
             self.check_cache_first,
             kernels=self.kernels,
         )
-        state.labels[survivors] = self.labels[gather]
-        state.attribution[survivors] = self.attribution[gather]
-        for rule_name, bitmap in self._rule_matched.items():
-            if bitmap.any():
-                state._rule_bitmap(rule_name)[survivors] = bitmap[gather]
-        for key, bitmap in self._predicate_false.items():
-            if bitmap.any():
-                state._slot_bitmap(key)[survivors] = bitmap[gather]
+        state.attribution = rows.take(self.attribution, -1)
+        state.labels, *bitmaps = rows.take_each(
+            [
+                self.labels,
+                *self._rule_matched.values(),
+                *self._predicate_false.values(),
+            ],
+            False,
+        )
+        rule_names = list(self._rule_matched)
+        state._rule_matched = dict(zip(rule_names, bitmaps))
+        state._predicate_false = dict(
+            zip(self._predicate_false, bitmaps[len(rule_names) :])
+        )
         return state
 
     # ------------------------------------------------------------------

@@ -134,12 +134,13 @@ def validate_batch(
 ) -> None:
     """Check that every delta in ``batch`` would apply cleanly, in order.
 
-    Simulates the batch against the live tables without mutating anything:
-    record-id liveness is tracked through the sequence (so an insert
-    followed by an update of the same id validates, and a delete followed
-    by an update of it does not), and insert/update values are checked
-    against the table schema — exactly the conditions under which
-    :func:`apply_delta` raises.  Raises
+    Simulates the batch against the live tables without mutating (or
+    copying) them, so the work follows the batch: record-id liveness is
+    tracked through the sequence (so an insert followed by an update of
+    the same id validates, and a delete followed by an update of it does
+    not), and insert/update values are checked against the table schema
+    — exactly the conditions under which :func:`apply_delta` raises.
+    Raises
     :class:`~repro.errors.StreamingError` naming the offending delta's
     position; the tables are untouched either way.
 
@@ -147,12 +148,12 @@ def validate_batch(
     before applying anything, which is what makes a batch atomic: a batch
     that cannot apply in full is rejected in full.
     """
-    live = {
-        "a": {record.record_id for record in table_a},
-        "b": {record.record_id for record in table_b},
-    }
+    tables = {"a": table_a, "b": table_b}
+    # Liveness changes made by earlier deltas of the batch, per side; the
+    # tables answer for every id the batch has not touched.
+    added = {"a": set(), "b": set()}
+    removed = {"a": set(), "b": set()}
     schema = {"a": set(table_a.attributes), "b": set(table_b.attributes)}
-    table_name = {"a": table_a.name, "b": table_b.name}
 
     def reject(position: int, delta: Delta, reason: str) -> None:
         raise StreamingError(
@@ -161,18 +162,21 @@ def validate_batch(
         )
 
     for position, delta in enumerate(batch):
-        ids = live[delta.side]
-        name = table_name[delta.side]
+        side, record_id = delta.side, delta.record_id
+        name = tables[side].name
+        live = record_id in added[side] or (
+            record_id in tables[side] and record_id not in removed[side]
+        )
         if delta.op == "insert":
-            if delta.record_id in ids:
+            if live:
                 reject(
                     position, delta,
                     f"id already in table {name!r} (use an update delta)",
                 )
-        elif delta.record_id not in ids:
+        elif not live:
             reject(position, delta, f"no such record in table {name!r}")
         if delta.values:
-            extra = set(delta.values) - schema[delta.side]
+            extra = set(delta.values) - schema[side]
             if extra:
                 reject(
                     position, delta,
@@ -180,9 +184,11 @@ def validate_batch(
                     f"{sorted(extra)}",
                 )
         if delta.op == "insert":
-            ids.add(delta.record_id)
+            added[side].add(record_id)
+            removed[side].discard(record_id)
         elif delta.op == "delete":
-            ids.discard(delta.record_id)
+            removed[side].add(record_id)
+            added[side].discard(record_id)
 
 
 def apply_delta(table_a: Table, table_b: Table, delta: Delta) -> AppliedDelta:

@@ -7,14 +7,17 @@ materialized :class:`~repro.core.state.MatchState` — memo, bitmaps,
 labels, attribution — equivalent to a from-scratch block+match of the
 current tables while records stream in, change, and disappear.
 
-Applying a :class:`~repro.streaming.deltas.DeltaBatch` does, per batch:
+Applying a :class:`~repro.streaming.deltas.DeltaBatch` does, per batch,
+work that follows the delta rather than the candidate set:
 
 1. apply each delta to the live tables and ask the blocker for the exact
-   candidate-pair delta (:meth:`~repro.blocking.base.Blocker.pairs_for_delta`);
-2. rebuild the candidate set as *survivors in their old order* followed by
-   the net-new pairs (sorted), and gather every surviving fact into a new
-   state via :meth:`~repro.core.state.MatchState.remapped` — an O(pairs)
-   numpy gather, no re-evaluation;
+   candidate-pair delta (:meth:`~repro.blocking.base.Blocker.pairs_for_delta`),
+   folding each into the batch's net gained/lost pairs;
+2. derive the new candidate set and state copy-on-write
+   (:meth:`~repro.data.pairs.CandidateSet.with_delta`, then
+   :meth:`~repro.core.state.MatchState.with_rows`): lost pairs are
+   swap-removed — the tail's rows fill their holes — and net-new pairs are
+   appended, every surviving fact following its row;
 3. forget all facts about surviving pairs incident to touched records
    (:meth:`~repro.core.state.MatchState.forget_pairs` — their feature
    values are stale);
@@ -23,10 +26,15 @@ Applying a :class:`~repro.streaming.deltas.DeltaBatch` does, per batch:
    re-match dispatches to :mod:`repro.parallel` when the cost model says
    the affected set is worth a pool.
 
+The new candidates and state replace the session's only after step 4, so
+the pre-batch objects are never mutated.  If any step raises, the tables
+are restored, the blocker is rebuilt by re-blocking them, and the touched
+records leave the token caches; only that failure path costs O(pairs).
+
 Soundness of the rule-editing algorithms (7–10) is preserved because the
 state transformation only ever *removes* facts (forget) or *moves* them
-(remap), never asserts one — and the re-match records facts through the
-identical observation path as the initial run.  A rule edit applied after
+(the row delta), never asserts one — and the re-match records facts
+through the identical observation path as the initial run.  A rule edit applied after
 any number of batches therefore sees a state indistinguishable from one
 built by blocking and matching the current tables from scratch.
 """
@@ -216,10 +224,11 @@ class StreamingSession:
         anything mutates (:func:`~repro.streaming.deltas.validate_batch`),
         so a batch that cannot apply in full raises
         :class:`~repro.errors.StreamingError` with tables, blocker index,
-        and matching state all unchanged.  Should application still fail
-        partway (e.g. a blocker bug), the tables and the blocker's delta
-        index are rolled back to their pre-batch contents before the
-        exception propagates — observers never see half a batch.
+        and matching state all unchanged.  Should any later step still
+        fail (a blocker bug, a raising feature in the re-match), the
+        tables are restored and the blocker re-blocked before the
+        exception propagates; candidates and state were never replaced —
+        observers never see half a batch.
         """
         if isinstance(batch, Delta):
             batch = DeltaBatch([batch])
@@ -243,93 +252,80 @@ class StreamingSession:
         with maybe_span(observability, "ingest", deltas=len(batch)):
             with maybe_span(observability, "validate"):
                 validate_batch(self.table_a, self.table_b, batch)
-
-            # 1. Apply deltas to the tables; accumulate the blocking delta.
-            #    Validation makes apply_delta infallible here; the rollback
-            #    guards against unexpected failures (a blocker raising
-            #    mid-chain would otherwise strand tables + index mid-batch).
-            old_order = state.candidates.id_pairs()
-            old_index = {
-                pair_id: index for index, pair_id in enumerate(old_order)
-            }
-            current: Set[PairId] = set(old_order)
+            touched_a, touched_b = batch.touched_records()
             saved_a = self.table_a.snapshot()
             saved_b = self.table_b.snapshot()
-            saved_index = self.blocker.save_delta_index()
-            with maybe_span(observability, "apply_deltas"):
-                try:
+            try:
+                # 1. Apply deltas to the tables, folding each pair delta into
+                #    the batch's net change (lost then regained nets to nothing).
+                gained: Set[PairId] = set()
+                lost: Set[PairId] = set()
+                with maybe_span(observability, "apply_deltas"):
                     for delta in batch:
                         applied = apply_delta(self.table_a, self.table_b, delta)
                         pair_delta = self.blocker.pairs_for_delta(
                             self.table_a, self.table_b, applied
                         )
-                        current.difference_update(pair_delta.lost)
-                        current.update(pair_delta.gained)
+                        for pair_id in pair_delta.lost:
+                            if pair_id in gained:
+                                gained.discard(pair_id)
+                            else:
+                                lost.add(pair_id)
+                        for pair_id in pair_delta.gained:
+                            if pair_id in lost:
+                                lost.discard(pair_id)
+                            else:
+                                gained.add(pair_id)
                         stats.deltas_applied += 1
                         stats.pairs_gained += len(pair_delta.gained)
                         stats.pairs_lost += len(pair_delta.lost)
-                except Exception:
-                    self.table_a.restore(saved_a)
-                    self.table_b.restore(saved_b)
-                    self.blocker.restore_delta_index(saved_index)
-                    raise
 
-            # 2. Rebuild candidates (survivors keep their relative order) and
-            #    gather surviving facts into a state over the new index space.
-            with maybe_span(observability, "remap"):
-                net_new = sorted(current.difference(old_index))
-                new_order = [
-                    pair_id for pair_id in old_order if pair_id in current
-                ] + net_new
-                new_candidates = CandidateSet.from_id_pairs(
-                    self.table_a, self.table_b, new_order
-                )
-                old_index_of = np.fromiter(
-                    (old_index.get(pair_id, -1) for pair_id in new_order),
-                    dtype=np.int64,
-                    count=len(new_order),
-                )
-                new_state = state.remapped(new_candidates, old_index_of)
-
-            # 3. Invalidate surviving pairs whose records the batch touched.
-            with maybe_span(observability, "invalidate"):
-                touched_a, touched_b = batch.touched_records()
-                stale: Set[int] = set()
-                for record_id in touched_a:
-                    stale.update(
-                        new_candidates.indices_for_record("a", record_id)
+                # 2. Copy-on-write candidates and state: swap-remove the lost
+                #    rows, append the gained ones; surviving facts follow.
+                net_new = sorted(gained)
+                with maybe_span(observability, "remap"):
+                    new_candidates, rows = state.candidates.with_delta(
+                        lost, net_new, refresh_a=touched_a, refresh_b=touched_b
                     )
-                for record_id in touched_b:
-                    stale.update(
-                        new_candidates.indices_for_record("b", record_id)
-                    )
-                invalidated = sorted(
-                    index for index in stale if old_index_of[index] >= 0
-                )
-                new_state.forget_pairs(invalidated)
-                stats.pairs_invalidated = len(invalidated)
-                # Token caches key on record ids, so edited records must be
-                # evicted too — the re-match would otherwise score against
-                # pre-delta token sets.
-                kernels = self.session.kernels
-                if kernels is not None:
-                    kernels.invalidate_records("a", touched_a)
-                    kernels.invalidate_records("b", touched_b)
+                    new_state = state.with_rows(new_candidates, rows)
 
-            # 4. Re-match exactly the affected pairs (net-new + invalidated).
-            first_new = len(new_order) - len(net_new)
-            affected = invalidated + list(range(first_new, len(new_order)))
-            parallel = self._should_parallelize(len(affected))
-            with maybe_span(
-                observability,
-                "rematch",
-                affected=len(affected),
-                parallel=parallel,
-            ):
-                if parallel:
-                    self._rematch_parallel(new_state, affected, stats)
-                else:
-                    self._rematch_serial(new_state, affected, stats)
+                # 3. Invalidate surviving pairs whose records the batch touched.
+                with maybe_span(observability, "invalidate"):
+                    stale: Set[int] = set()
+                    for side, record_ids in (("a", touched_a), ("b", touched_b)):
+                        for record_id in record_ids:
+                            stale.update(
+                                new_candidates.indices_for_record(side, record_id)
+                            )
+                    invalidated = sorted(
+                        index for index in stale if index < rows.kept
+                    )
+                    new_state.forget_pairs(invalidated)
+                    stats.pairs_invalidated = len(invalidated)
+                    # Token caches key on record ids, so edited records must
+                    # be evicted too — the re-match would otherwise score
+                    # against pre-delta token sets.
+                    kernels = self.session.kernels
+                    if kernels is not None:
+                        kernels.invalidate_records("a", touched_a)
+                        kernels.invalidate_records("b", touched_b)
+
+                # 4. Re-match exactly the affected pairs (net-new + invalidated).
+                affected = invalidated + list(range(rows.kept, rows.size))
+                parallel = self._should_parallelize(len(affected))
+                with maybe_span(
+                    observability,
+                    "rematch",
+                    affected=len(affected),
+                    parallel=parallel,
+                ):
+                    if parallel:
+                        self._rematch_parallel(new_state, affected, stats)
+                    else:
+                        self._rematch_serial(new_state, affected, stats)
+            except BaseException:
+                self._roll_back(saved_a, saved_b, touched_a, touched_b)
+                raise
 
             self.session.candidates = new_candidates
             self.session.state = new_state
@@ -338,11 +334,10 @@ class StreamingSession:
                     new_state.labels[np.asarray(affected, dtype=np.int64)].sum()
                 )
             stats.elapsed_seconds = time.perf_counter() - started
-            net_lost = tuple(sorted(set(old_order).difference(current)))
             result = BatchResult(
                 stats=stats,
                 gained=tuple(net_new),
-                lost=net_lost,
+                lost=tuple(sorted(lost)),
                 affected_indices=tuple(affected),
                 executed_parallel=parallel,
                 match_count=new_state.match_count(),
@@ -355,6 +350,18 @@ class StreamingSession:
                     monitor.after_ingest(self)
             return result
 
+    def _roll_back(self, saved_a, saved_b, touched_a, touched_b) -> None:
+        """Undo a failed batch: restore the tables, re-block them to rebuild
+        the blocker's index, and evict the touched records' token sets,
+        which a partial re-match may have cached from post-delta values."""
+        self.table_a.restore(saved_a)
+        self.table_b.restore(saved_b)
+        self.blocker.block(self.table_a, self.table_b)
+        kernels = self.session.kernels
+        if kernels is not None:
+            kernels.invalidate_records("a", touched_a)
+            kernels.invalidate_records("b", touched_b)
+
     # ------------------------------------------------------------------
     # Re-matching strategies
     # ------------------------------------------------------------------
@@ -364,18 +371,13 @@ class StreamingSession:
         profiler = (
             observability.profiler if observability is not None else None
         )
-        if self.session._resolve_engine(state.function) == "columnar":
+        engine, plan = self.session._engine_and_plan(state.function)
+        if engine == "columnar":
             # Set-at-a-time re-match: one executor pass over the affected
             # index set, recording into the state exactly as a full
             # columnar run would (bit-identical to the scalar loop below).
-            from ..engine import ColumnarExecutor, plan_function
+            from ..engine import ColumnarExecutor
 
-            plan = plan_function(
-                state.function,
-                kernels=state.kernels,
-                estimates=self.session.estimates,
-                check_cache_first=self.session.check_cache_first,
-            )
             executor = ColumnarExecutor(
                 plan,
                 state.candidates,

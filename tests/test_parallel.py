@@ -447,7 +447,7 @@ class TestSerialFallbackStats:
 
 class TestTraceReplayWithState:
     """``TraceLog.replay_into`` at a nonzero offset, composed with the
-    streaming state transforms (``remapped`` / ``forget_pairs``) — the
+    streaming state transforms (``with_rows`` / ``forget_pairs``) — the
     exact seam a parallel re-match of a streaming batch exercises."""
 
     @pytest.fixture()
@@ -498,24 +498,24 @@ class TestTraceReplayWithState:
 
     def test_replayed_facts_survive_remap_then_forget(self, setup):
         table_a, table_b, candidates, function = setup
-        offset, size = 6, 10
+        offset, size = 24, 10
         state, trace = self._replayed_state(candidates, function, offset, size)
 
-        # drop the first 3 pairs and reverse the survivors — every
-        # surviving index moves, so a remap bug cannot hide.
+        # lose the first 12 pairs: the swap-remove step moves the tail
+        # (rows 24..35) into their holes, so every fact-bearing row moves
+        # and a row-delta bug cannot hide.
         old_order = candidates.id_pairs()
-        new_order = list(reversed(old_order[3:]))
-        new_candidates = CandidateSet.from_id_pairs(table_a, table_b, new_order)
-        position = {pair_id: index for index, pair_id in enumerate(old_order)}
-        old_index_of = np.array(
-            [position[pair_id] for pair_id in new_order], dtype=np.int64
-        )
-        new_state = state.remapped(new_candidates, old_index_of)
+        new_candidates, rows = candidates.with_delta(old_order[:12], [])
+        new_state = state.with_rows(new_candidates, rows)
+        assert set(rows.movers.tolist()) >= set(range(offset, offset + size))
 
-        new_position = {pair_id: index for index, pair_id in enumerate(new_order)}
+        new_position = {
+            pair.pair_id: index for index, pair in enumerate(new_candidates)
+        }
         for local_index, rule_name in trace.rule_matches:
             old_global = local_index + offset
             expected = new_position[old_order[old_global]]
+            assert expected != old_global
             assert expected in new_state.matched_by_rule(rule_name)
         for local_index, rule_name, slot in trace.predicate_falses:
             old_global = local_index + offset

@@ -13,7 +13,7 @@ import pytest
 
 from repro import DebugSession, TightenPredicate
 from repro.blocking import BLOCKER_REGISTRY, CartesianBlocker
-from repro.data import Record, Table
+from repro.data import CandidatePair, Record, Table
 from repro.data.datasets import dataset_names, load_dataset
 from repro.errors import StreamingError
 from repro.learning.workload import (
@@ -21,6 +21,7 @@ from repro.learning.workload import (
     build_workload,
     default_blocker,
 )
+from repro.similarity.tokenizers import Tokenizer
 from repro.streaming import (
     BatchResult,
     Delta,
@@ -145,6 +146,22 @@ class TestValidateBatch:
         ]))
         assert "a9" not in table_a
         assert "b1" in table_b
+
+    def test_delete_then_reinsert_tracks_liveness(self):
+        table_a, table_b = _tiny_tables()
+        validate_batch(table_a, table_b, DeltaBatch([
+            Delta.delete("b", "b1"),
+            Delta.insert("b", "b1", title="back again"),
+            Delta.update("b", "b1", author="new"),
+        ]))
+        with pytest.raises(StreamingError, match="no such record"):
+            validate_batch(table_a, table_b, DeltaBatch([
+                Delta.delete("b", "b1"),
+                Delta.insert("b", "b1", title="back again"),
+                Delta.delete("b", "b1"),
+                Delta.update("b", "b1", author="gone"),
+            ]))
+        assert table_b.get("b1").get("title") == "red apple pie"
 
     def test_duplicate_insert_within_batch_rejected(self):
         table_a, table_b = _tiny_tables()
@@ -417,6 +434,51 @@ class TestBatchAtomicity:
         streaming.ingest(Delta.update("a", a_id, title="after rollback"))
         _assert_equivalent(streaming, lambda: default_blocker("books"))
 
+    def test_rematch_failure_rolls_back_whole_batch(self, streaming):
+        """A failure after the blocker advanced (here: the re-match) must
+        roll back tables, blocker, and token caches, not just the deltas."""
+        before = _snapshot(streaming.candidates, streaming.state)
+        tables_before = (
+            streaming.table_a.snapshot(), streaming.table_b.snapshot()
+        )
+        a_id = streaming.table_a[0].record_id
+        old_title = streaming.table_a.get(a_id).get("title")
+        rematch = streaming._rematch_serial
+
+        def exploding(state, affected, stats):
+            # Do the work first, so the token cache holds post-delta sets.
+            rematch(state, affected, stats)
+            raise RuntimeError("re-match exploded")
+
+        streaming._rematch_serial = exploding
+        try:
+            with pytest.raises(RuntimeError, match="re-match exploded"):
+                streaming.ingest(DeltaBatch([
+                    # keeps a_id's pairs, so the re-match caches new values
+                    Delta.update(
+                        "a", a_id, title=f"{old_title} zebra",
+                        author="nobody", year="1800", pages="3",
+                    ),
+                    Delta.delete("b", streaming.table_b[1].record_id),
+                ]))
+        finally:
+            del streaming._rematch_serial
+        assert (
+            streaming.table_a.snapshot(), streaming.table_b.snapshot()
+        ) == tables_before
+        assert _snapshot(streaming.candidates, streaming.state) == before
+        assert not streaming.batch_history
+        assert streaming.blocker.current_pairs() == set(
+            streaming.candidates.id_pairs()
+        )
+        # A B-side copy of a_id pairs with it without touching it: the
+        # re-match must see a_id's restored values, not the ones cached
+        # by the failed batch, and the rebuilt blocker must find the pair.
+        values = streaming.table_a.get(a_id).as_dict()
+        result = streaming.ingest(Delta.insert("b", "after-rollback", **values))
+        assert "after-rollback" in {b_id for _, b_id in result.gained}
+        _assert_equivalent(streaming, lambda: default_blocker("books"))
+
 
 class TestBatchResult:
     def test_counters_and_summary(self, streaming):
@@ -575,6 +637,61 @@ class TestForgetPairs:
             pair_index != target for pair_index, _, _ in state.memo.items()
         )
         state.check_soundness()
+
+
+# ----------------------------------------------------------------------
+# Work per delta follows the delta, not the candidate set
+# ----------------------------------------------------------------------
+
+def test_single_delta_work_follows_the_delta(monkeypatch):
+    """One plain update builds CandidatePair objects and tokenizes records
+    in proportion to its incident pairs and records, never |C|.
+
+    Counts work instead of timing it, so the check is deterministic.  A
+    design that rebuilds the candidate set or re-blocks per delta
+    constructs every pair (~7,000 here) and re-tokenizes every record
+    (~890) on each ingest.
+    """
+    workload = build_workload("restaurants", seed=7, scale=0.3)
+    dataset = workload.dataset
+    streaming = StreamingSession(
+        dataset.table_a,
+        dataset.table_b,
+        default_blocker("restaurants"),
+        workload.function,
+        gold=dataset.gold,
+    )
+    streaming.run()
+    n_pairs = len(streaming.candidates)
+
+    counts = {"pairs": 0, "tokenize": 0}
+    init = CandidatePair.__init__
+    tokenize_set = Tokenizer.tokenize_set
+
+    def counting_init(self, *args):
+        counts["pairs"] += 1
+        init(self, *args)
+
+    def counting_tokenize_set(self, value):
+        counts["tokenize"] += 1
+        return tokenize_set(self, value)
+
+    monkeypatch.setattr(CandidatePair, "__init__", counting_init)
+    monkeypatch.setattr(Tokenizer, "tokenize_set", counting_tokenize_set)
+    for side, table in (("a", dataset.table_a), ("b", dataset.table_b)):
+        record_id = max(
+            (record.record_id for record in table),
+            key=lambda rid: len(streaming.candidates.indices_for_record(side, rid)),
+        )
+        incident = len(streaming.candidates.indices_for_record(side, record_id))
+        assert incident > 0
+        counts.update(pairs=0, tokenize=0)
+        result = streaming.ingest(Delta.update(side, record_id, phone="555-0199"))
+        assert result.affected == incident
+        assert counts["pairs"] <= 2 * incident, (side, counts, incident)
+        assert counts["tokenize"] <= 2 * (incident + 1), (side, counts, incident)
+        assert counts["pairs"] + counts["tokenize"] < n_pairs / 10
+    _assert_equivalent(streaming, lambda: default_blocker("restaurants"))
 
 
 # ----------------------------------------------------------------------
