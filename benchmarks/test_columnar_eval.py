@@ -17,30 +17,60 @@ at least 200 of the 255 learned rules must be fully kernel-supported
 ``engine="auto"`` decision must pick columnar for the plan.  It times
 both engines over the *same* warm memo, asserts bit-identical labels,
 and pins the speedup floor the PR promises: columnar >= 2x faster than
-warm-cache scalar.  Results — timings, coverage, and the auto-engine
-decision — land in ``benchmarks/BENCH_columnar_eval.json``.
+warm-cache scalar.
+
+An edit phase then runs the paper's §7.6 edit protocol on an ``auto``
+session over the same workload — 30 edit/inverse pairs across
+Algorithms 7-10, labels checked restored after every pair — and pins a
+ratio floor: the median edit must cost at most half of one full
+``plan_function`` compile with estimates.  An edit patches the session's
+plan (one rule re-planned) instead of compiling it, so its cost follows
+the rows it touches, not the rule count.  Results — timings, coverage,
+the auto-engine decision, and the edit phase — land in
+``benchmarks/BENCH_columnar_eval.json``.
 """
 
 from __future__ import annotations
 
 import json
+import random
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import ArrayMemo, DebugSession, DynamicMemoMatcher
+from repro.core import (
+    AddPredicate,
+    AddRule,
+    ArrayMemo,
+    DebugSession,
+    DynamicMemoMatcher,
+    RelaxPredicate,
+    RemovePredicate,
+    RemoveRule,
+    TightenPredicate,
+)
 from repro.engine import ColumnarMatcher, plan_function
+from repro.errors import ChangeError
 from repro.kernels import FeatureKernels
 
-from conftest import print_series
+from conftest import print_series, random_change
 
 #: speedup floor asserted by this bench (columnar vs warm-cache scalar).
 MIN_SPEEDUP = 2.0
 #: coverage floor: fully kernel-supported rules out of the 255 learned.
 MIN_SUPPORTED_RULES = 200
+#: ceiling on (edit p50) / (one full plan compile with estimates).
+MAX_EDIT_OVER_COMPILE = 0.5
 
 BENCH_PAIRS = 2500
+EDIT_PAIRS = 30
+EDIT_SEED = 17
+EDIT_KINDS = (
+    "tighten", "relax", "remove_predicate", "remove_rule", "add_rule", "add_predicate",
+)
 
 _RESULTS = {}
 
@@ -92,7 +122,7 @@ def test_kernel_coverage_and_auto_decision(benchmark, columnar_workload):
     # the session-level resolution agrees with the plan's decision
     session = DebugSession(candidates, function)
     assert session.engine == "auto"
-    assert session._resolve_engine(function) == "columnar"
+    assert session.compile_plan(function).decision.engine == "columnar"
     _RESULTS["coverage"] = {
         "total_rules": total_rules,
         "supported_rules": supported_rules,
@@ -132,13 +162,88 @@ def test_columnar_eval_point(benchmark, columnar_workload, warm_memo, engine):
         _RESULTS[engine]["scalar_fallbacks"] = executor.scalar_fallbacks
 
 
+def _inverse(change, function):
+    """The edit that undoes ``change``, given the ``function`` it edits."""
+    if isinstance(change, AddRule):
+        return RemoveRule(change.rule.name)
+    if isinstance(change, RemoveRule):
+        return AddRule(function.rule(change.rule_name))
+    if isinstance(change, AddPredicate):
+        return RemovePredicate(change.rule_name, change.predicate.slot)
+    old = function.rule(change.rule_name).predicate_by_slot(change.slot)
+    if isinstance(change, RemovePredicate):
+        return AddPredicate(change.rule_name, old)
+    undo = RelaxPredicate if isinstance(change, TightenPredicate) else TightenPredicate
+    return undo(change.rule_name, change.slot, old.threshold)
+
+
+def _edit_pair(kind, function, rng):
+    """A valid §7.6 edit of ``kind`` on ``function`` and its inverse.
+    Rules are drawn in name order: the session orders them by wall-clock
+    cost estimates."""
+    rules = sorted(function.rules, key=lambda rule: rule.name)
+    for _ in range(200):
+        change = random_change(kind, rules, rng)
+        if change is None:
+            continue
+        try:
+            change.validate(function)
+        except ChangeError:
+            continue
+        return change, _inverse(change, function)
+    raise AssertionError(f"no applicable {kind} edit")
+
+
+def test_edit_phase(benchmark, columnar_workload):
+    """30 §7.6 edit/inverse pairs on an ``auto`` session: every pair
+    restores the labels, and edit latency is timed next to one full plan
+    compile with estimates."""
+    function, candidates, _, _ = columnar_workload
+    session = DebugSession(candidates, function)
+    session.run()
+    rng = random.Random(EDIT_SEED)
+    edit_seconds = []
+    kinds = []
+
+    def run_edits():
+        for index in range(EDIT_PAIRS):
+            kind = EDIT_KINDS[index % len(EDIT_KINDS)]
+            pair = _edit_pair(kind, session.function, rng)
+            before = session.labels().copy()
+            for change in pair:
+                started = time.perf_counter()
+                session.apply(change)
+                edit_seconds.append(time.perf_counter() - started)
+            assert np.array_equal(session.labels(), before), (
+                f"labels not restored after {pair[0]!r} and its inverse"
+            )
+            kinds.append(kind)
+
+    benchmark.pedantic(run_edits, rounds=1, iterations=1)
+    compile_seconds = []
+    for _ in range(5):
+        started = time.perf_counter()
+        plan = session.compile_plan()
+        compile_seconds.append(time.perf_counter() - started)
+    _RESULTS["edits"] = {
+        "pairs": len(kinds),
+        "edit_p50_seconds": statistics.median(edit_seconds),
+        "edit_p90_seconds": float(np.percentile(edit_seconds, 90)),
+        "compile_seconds": statistics.median(compile_seconds),
+        "engine": plan.decision.engine,
+        "rules": len(session.function.rules),
+    }
+
+
 def test_columnar_eval_report(benchmark, columnar_workload):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     function, candidates, _, _ = columnar_workload
     scalar = _RESULTS["scalar"]
     columnar = _RESULTS["columnar"]
     coverage = _RESULTS["coverage"]
+    edits = _RESULTS["edits"]
     speedup = scalar["seconds"] / columnar["seconds"]
+    edit_over_compile = edits["edit_p50_seconds"] / edits["compile_seconds"]
 
     print_series(
         f"Columnar vs warm-cache scalar "
@@ -160,6 +265,19 @@ def test_columnar_eval_report(benchmark, columnar_workload):
                 int(columnar["labels"].sum()),
             ],
             ["speedup", f"{speedup:.2f}x", "-", "-"],
+        ],
+    )
+    print_series(
+        f"Edit phase ({edits['pairs']} edit/inverse pairs, "
+        f"{edits['rules']} rules, auto -> {edits['engine']})",
+        ["edit p50", "edit p90", "plan compile", "p50 / compile"],
+        [
+            [
+                f"{edits['edit_p50_seconds'] * 1000:.2f}ms",
+                f"{edits['edit_p90_seconds'] * 1000:.2f}ms",
+                f"{edits['compile_seconds'] * 1000:.2f}ms",
+                f"{edit_over_compile:.2f}",
+            ]
         ],
     )
 
@@ -187,6 +305,15 @@ def test_columnar_eval_report(benchmark, columnar_workload):
             "min_supported_rules_floor": MIN_SUPPORTED_RULES,
         },
         "auto_engine_decision": coverage["decision"],
+        "edit_phase": {
+            "edit_pairs": edits["pairs"],
+            "engine": edits["engine"],
+            "edit_p50_ms": edits["edit_p50_seconds"] * 1000,
+            "edit_p90_ms": edits["edit_p90_seconds"] * 1000,
+            "plan_compile_ms": edits["compile_seconds"] * 1000,
+            "edit_p50_over_compile": edit_over_compile,
+            "max_edit_over_compile_floor": MAX_EDIT_OVER_COMPILE,
+        },
     }
     out_path = Path(__file__).resolve().parent / "BENCH_columnar_eval.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -201,8 +328,13 @@ def test_columnar_eval_report(benchmark, columnar_workload):
     # 2. the engine actually ran set-at-a-time (fallback steps allowed —
     #    the stock workload keeps its monge_elkan rules);
     assert columnar["mask_evals"] > 0
-    # 3. the speedup the split exists for, on the *unfiltered* workload.
+    # 3. the speedup the split exists for, on the *unfiltered* workload;
     assert speedup >= MIN_SPEEDUP, (
         f"columnar only {speedup:.2f}x faster than warm-cache scalar; "
         f"floor is {MIN_SPEEDUP:.1f}x"
+    )
+    # 4. an edit costs the rows it touches, not a plan compile.
+    assert edit_over_compile <= MAX_EDIT_OVER_COMPILE, (
+        f"edit p50 is {edit_over_compile:.2f}x one full plan compile; "
+        f"ceiling is {MAX_EDIT_OVER_COMPILE:.2f}x"
     )

@@ -20,20 +20,9 @@ import random
 
 import pytest
 
-from repro.core import (
-    AddPredicate,
-    AddRule,
-    DynamicMemoMatcher,
-    MatchState,
-    Predicate,
-    RelaxPredicate,
-    RemovePredicate,
-    RemoveRule,
-    TightenPredicate,
-    apply_change,
-)
+from repro.core import DynamicMemoMatcher, MatchState, apply_change
 
-from conftest import print_series
+from conftest import print_series, random_change
 
 _PAIRS = 1200
 _EDITS_PER_TYPE = 30
@@ -48,53 +37,6 @@ CHANGE_TYPES = [
     "relax",
     "add_rule",
 ]
-
-
-def _random_change(kind, state, rng):
-    function = state.function
-    rules = function.rules
-    rule = rules[rng.randrange(len(rules))]
-    predicate = rule.predicates[rng.randrange(len(rule.predicates))]
-    lower_bound = predicate.op in (">=", ">")
-    delta = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
-    if kind == "tighten":
-        threshold = (
-            min(1.0, predicate.threshold + delta)
-            if lower_bound
-            else max(0.0, predicate.threshold - delta)
-        )
-        return TightenPredicate(rule.name, predicate.slot, threshold)
-    if kind == "relax":
-        threshold = (
-            max(-0.001, predicate.threshold - delta)
-            if lower_bound
-            else min(1.001, predicate.threshold + delta)
-        )
-        return RelaxPredicate(rule.name, predicate.slot, threshold)
-    if kind == "remove_predicate":
-        if len(rule.predicates) < 2:
-            return None
-        return RemovePredicate(rule.name, predicate.slot)
-    if kind == "add_predicate":
-        # Re-add a predicate borrowed from another rule, as the paper does
-        # (remove it, rematch, add it back — here we just add a foreign
-        # predicate whose slot is free).
-        donor = rules[rng.randrange(len(rules))]
-        candidate = donor.predicates[rng.randrange(len(donor.predicates))]
-        taken = {p.slot for p in rule.predicates}
-        if candidate.slot in taken:
-            return None
-        return AddPredicate(rule.name, candidate)
-    if kind == "remove_rule":
-        if len(function) < 2:
-            return None
-        return RemoveRule(rule.name)
-    if kind == "add_rule":
-        donor = rules[rng.randrange(len(rules))]
-        clone = donor.with_predicates(donor.predicates)
-        renamed = type(clone)(f"new_{rng.randrange(10**9)}", clone.predicates)
-        return AddRule(renamed)
-    raise AssertionError(kind)
 
 
 @pytest.mark.parametrize("kind", CHANGE_TYPES)
@@ -115,7 +57,7 @@ def test_fig6_change_type(benchmark, products_workload, bench_candidates, kind):
         attempts = 0
         while applied < _EDITS_PER_TYPE and attempts < _EDITS_PER_TYPE * 20:
             attempts += 1
-            change = _random_change(kind, state, rng)
+            change = random_change(kind, state.function.rules, rng)
             if change is None:
                 continue
             try:

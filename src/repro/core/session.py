@@ -168,38 +168,22 @@ class DebugSession:
     # Engine selection
     # ------------------------------------------------------------------
 
-    def _resolve_engine(self, function: MatchingFunction) -> str:
-        """The engine a run over ``function`` will actually use.
-
-        ``"auto"`` resolves per call (the function changes across edits)
-        by compiling the plan and reading the cost model's
-        :class:`~repro.engine.EngineDecision` — columnar exactly when its
-        estimated per-pair cost undercuts the scalar loop's, given the
-        session's kernels and current estimates.
-        """
-        if self.engine != "auto":
-            return self.engine
-        return self._engine_and_plan(function)[0]
-
-    def _engine_and_plan(self, function: MatchingFunction):
-        """``(engine, plan)`` for a run over ``function``, compiling at most once.
-
-        The plan is compiled whenever the engine is columnar or the
-        ``"auto"`` decision needs it, and is ``None`` otherwise; callers
-        that go on to execute a columnar plan use this one instead of
-        compiling a second time.
-        """
-        if self.engine == "scalar" or (self.engine == "auto" and self.kernels is None):
-            return "scalar", None
-        plan = self.compile_plan(function)
-        engine = plan.decision.engine if self.engine == "auto" else self.engine
-        return engine, plan
+    def _engine_for(self, state: MatchState) -> str:
+        """The engine a run or edit over ``state`` uses: the configured
+        one, or for ``"auto"`` the cost-model
+        :class:`~repro.engine.EngineDecision` of the state's plan —
+        columnar exactly when its estimated per-pair cost undercuts the
+        scalar loop's, given the session's kernels and estimates.  Only
+        ``"auto"`` reads (and so patches) the plan."""
+        return state.plan.decision.engine if self.engine == "auto" else self.engine
 
     def compile_plan(self, function: Optional[MatchingFunction] = None):
-        """The :class:`~repro.engine.MatchPlan` for the current function.
+        """A from-scratch :class:`~repro.engine.MatchPlan` for ``function``
+        (default: the current function).
 
-        Compiled against the session's kernels and cost estimates — the
-        workbench ``plan`` command renders its :meth:`describe`.
+        Compiled against the session's kernels and cost estimates.  A run
+        or reorder compiles the state's plan through here once; edits
+        then patch that plan instead of compiling again.
         """
         from ..engine import plan_function
 
@@ -215,21 +199,22 @@ class DebugSession:
             check_cache_first=self.check_cache_first,
         )
 
-    def _full_matcher(self, memo, recorder):
-        """A full-run matcher honoring the resolved engine (reorder/rerun)."""
-        if self._resolve_engine(recorder.function) == "columnar":
+    def _full_matcher(self, state: MatchState):
+        """A full-run matcher over ``state``'s plan (reorder/rerun)."""
+        if self._engine_for(state) == "columnar":
             from ..engine import ColumnarMatcher
 
             return ColumnarMatcher(
-                memo=memo,
+                memo=state.memo,
                 check_cache_first=self.check_cache_first,
-                recorder=recorder,
+                recorder=state,
                 kernels=self.kernels,
+                plan=state.plan,
             )
         return DynamicMemoMatcher(
-            memo=memo,
+            memo=state.memo,
             check_cache_first=self.check_cache_first,
-            recorder=recorder,
+            recorder=state,
             kernels=self.kernels,
         )
 
@@ -265,6 +250,10 @@ class DebugSession:
         session = cls(candidates, state.function, gold=gold, **session_kwargs)
         state.kernels = session.kernels
         state.check_cache_first = session.check_cache_first
+        # A plan compiled against other kernels is void; the state compiles
+        # the replacement on first use — against these kernels and no
+        # estimates, exactly what compile_plan() would build here.
+        state.plan = None
         session.state = state
         return session
 
@@ -294,8 +283,9 @@ class DebugSession:
                     function, self.estimates, self.ordering_strategy
                 )
             with maybe_span(observability, "match"):
+                plan = self.compile_plan(function)
                 if workers > 1:
-                    result = self._run_parallel(function, workers)
+                    result = self._run_parallel(plan, workers)
                 else:
                     self.state, result = MatchState.from_initial_run(
                         function,
@@ -306,10 +296,15 @@ class DebugSession:
                             observability.profiler if observability else None
                         ),
                         kernels=self.kernels,
-                        engine=self._resolve_engine(function),
+                        engine=(
+                            plan.decision.engine
+                            if self.engine == "auto"
+                            else self.engine
+                        ),
                         metrics=(
                             observability.metrics if observability else None
                         ),
+                        plan=plan,
                     )
         if observability is not None:
             record_match_stats(observability.metrics, result.stats, prefix="run")
@@ -334,12 +329,13 @@ class DebugSession:
             ):
                 pass
 
-    def _run_parallel(self, function: MatchingFunction, workers: int) -> MatchResult:
+    def _run_parallel(self, plan, workers: int) -> MatchResult:
         """Initial run via the parallel engine, materializing the same state
         (memo + bitmaps, via trace replay) a serial run would build."""
         # Imported here: repro.parallel imports repro.core submodules.
         from ..parallel import ParallelMatcher
 
+        function = plan.function
         names = [feature.name for feature in function.features()]
         memo = (
             ArrayMemo(len(self.candidates), names)
@@ -352,6 +348,7 @@ class DebugSession:
             memo,
             check_cache_first=self.check_cache_first,
             kernels=self.kernels,
+            plan=plan,
         )
         matcher = ParallelMatcher(
             workers=workers,
@@ -376,9 +373,12 @@ class DebugSession:
 
         With a columnar engine the affected pairs run through the
         set-at-a-time executor (:mod:`repro.engine.incremental`); the
-        resulting state is bit-identical to the scalar algorithms."""
+        resulting state is bit-identical to the scalar algorithms.  A
+        columnar edit runs under the state's plan patched to the edited
+        function (only the edited rule is re-planned); a scalar edit never
+        reads the plan."""
         state = self._require_state()
-        if self._resolve_engine(state.function) == "columnar":
+        if self._engine_for(state) == "columnar":
             from ..engine import apply_change_columnar
 
             result = apply_change_columnar(
@@ -432,8 +432,9 @@ class DebugSession:
             state.memo,
             check_cache_first=self.check_cache_first,
             kernels=self.kernels,
+            plan=self.compile_plan(function),
         )
-        matcher = self._full_matcher(state.memo, fresh)
+        matcher = self._full_matcher(fresh)
         result = matcher.run(function, self.candidates)
         fresh.labels = result.labels.copy()
         self._report_engine_metrics(matcher)
@@ -451,8 +452,9 @@ class DebugSession:
             state.memo,
             check_cache_first=self.check_cache_first,
             kernels=self.kernels,
+            plan=state.plan,
         )
-        matcher = self._full_matcher(state.memo, fresh)
+        matcher = self._full_matcher(fresh)
         result = matcher.run(state.function, self.candidates)
         fresh.labels = result.labels.copy()
         self._report_engine_metrics(matcher)
@@ -517,7 +519,7 @@ class DebugSession:
             feature_universe=feature_universe,
             observability=self.observability,
             kernels=self.kernels,
-            engine=self._resolve_engine(state.function),
+            engine=self._engine_for(state),
         )
         return search.run()
 

@@ -20,6 +20,12 @@ bit is set on the *first* true rule only — which is exactly the invariant
 Algorithm 7's fall-through uses (all earlier rules were observed false,
 all later rules unobserved).
 
+Next to the function the state owns that function's compiled
+:class:`~repro.engine.MatchPlan`: reading it after an edit patches it
+(:meth:`~repro.engine.MatchPlan.for_function` re-plans only the rules the
+held plan lacks), checkpoints capture it by reference, and
+:meth:`MatchState.with_rows` carries it across ingests unchanged.
+
 ``MatchState`` implements the matcher's ``TraceRecorder`` protocol, so the
 initial full run and all incremental re-evaluations feed the same bitmaps.
 """
@@ -41,6 +47,8 @@ from .stats import MatchStats
 #: Key of a predicate bitmap: (rule name, predicate slot).
 SlotKey = Tuple[str, str]
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class StateCheckpoint:
@@ -59,6 +67,9 @@ class StateCheckpoint:
     rule_matched: Dict[str, np.ndarray]
     predicate_false: Dict[SlotKey, np.ndarray]
     memo_snapshot: Optional[object] = None
+    #: the state's plan as held at capture (patched to ``function`` on
+    #: the first read after :meth:`MatchState.restore`).
+    plan: Optional[object] = None
 
     def nbytes(self) -> int:
         """Approximate bytes held by the checkpoint's copies."""
@@ -78,6 +89,7 @@ class MatchState:
         memo: FeatureMemo,
         check_cache_first: bool = False,
         kernels=None,
+        plan=None,
     ):
         self.function = function
         self.candidates = candidates
@@ -86,6 +98,9 @@ class MatchState:
         # Optional repro.kernels.FeatureKernels shared by every evaluator
         # built over this state (incremental updates, streaming re-match).
         self.kernels = kernels
+        # A MatchPlan of this or an earlier version of ``function``; read
+        # it through :attr:`plan`, which brings it up to date.
+        self._plan = plan
         self.labels = np.zeros(len(candidates), dtype=bool)
         self._rule_matched: Dict[str, np.ndarray] = {}
         self._predicate_false: Dict[SlotKey, np.ndarray] = {}
@@ -95,6 +110,42 @@ class MatchState:
         # false for that pair.  See repro.core.incremental's module
         # docstring for why relax edits must actively preserve this.
         self.attribution = np.full(len(candidates), -1, dtype=np.int32)
+
+    # ------------------------------------------------------------------
+    # The plan
+    # ------------------------------------------------------------------
+
+    @property
+    def plan(self):
+        """The :class:`~repro.engine.MatchPlan` of the current function.
+
+        Patched when read, not when the function changes: an edit only
+        assigns :attr:`function`, and the first read after it re-plans just
+        the rules the held plan lacks
+        (:meth:`~repro.engine.MatchPlan.for_function`) — so scalar edits,
+        which never read the plan, never pay for it.  Sessions hand the
+        state a plan compiled against their kernels and cost estimates; a
+        state built without one compiles it on first use from its own
+        kernels, without estimates.
+        """
+        if self._plan is None:
+            from ..engine import plan_function  # local: avoids an import cycle
+
+            self._plan = plan_function(
+                self.function,
+                kernels=self.kernels,
+                check_cache_first=self.check_cache_first,
+            )
+        elif self._plan.function is not self.function:
+            self._plan = self._plan.for_function(self.function)
+        return self._plan
+
+    @plan.setter
+    def plan(self, plan) -> None:
+        # Any plan compiled against this state's kernels will do (one for
+        # another version of the function is patched on the next read);
+        # ``None`` makes the next read compile afresh.
+        self._plan = plan
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,6 +163,7 @@ class MatchState:
         kernels=None,
         engine: str = "scalar",
         metrics=None,
+        plan=None,
     ) -> Tuple["MatchState", MatchResult]:
         """Run DM+EE once, materializing state as a side effect.
 
@@ -123,7 +175,9 @@ class MatchState:
         ``engine="columnar"`` runs the same DM+EE semantics through the
         set-at-a-time :class:`~repro.engine.ColumnarMatcher` (bit-identical
         labels, counters, and bitmaps); ``metrics`` (a registry) then
-        receives the ``engine.*`` counters.
+        receives the ``engine.*`` counters.  ``plan`` (a
+        :class:`~repro.engine.MatchPlan` for ``function``) becomes the
+        state's plan and drives the columnar run.
         """
         if memo is None:
             names = [feature.name for feature in function.features()]
@@ -132,7 +186,9 @@ class MatchState:
                 if memo_backend == "array"
                 else HashMemo(len(candidates), names)
             )
-        state = cls(function, candidates, memo, check_cache_first, kernels=kernels)
+        state = cls(
+            function, candidates, memo, check_cache_first, kernels=kernels, plan=plan
+        )
         if engine == "columnar":
             from ..engine import ColumnarMatcher  # local: avoids an import cycle
 
@@ -142,6 +198,7 @@ class MatchState:
                 recorder=state,
                 profiler=profiler,
                 kernels=kernels,
+                plan=state.plan,
             )
         else:
             matcher = DynamicMemoMatcher(
@@ -205,19 +262,31 @@ class MatchState:
             self._predicate_false[key] = bitmap
         return bitmap
 
-    def matched_by_rule(self, rule_name: str) -> List[int]:
-        """M(r): indices of pairs attributed to ``rule_name``."""
+    def matched_rows(self, rule_name: str) -> np.ndarray:
+        """M(r) as a sorted int64 row array (the columnar mirrors' form)."""
         bitmap = self._rule_matched.get(rule_name)
         if bitmap is None:
-            return []
-        return [int(index) for index in np.flatnonzero(bitmap)]
+            return _NO_ROWS
+        return np.flatnonzero(bitmap)
+
+    def failed_rows(self, rule_name: str, slot: str) -> np.ndarray:
+        """U(p) as a sorted int64 row array (the columnar mirrors' form)."""
+        bitmap = self._predicate_false.get((rule_name, slot))
+        if bitmap is None:
+            return _NO_ROWS
+        return np.flatnonzero(bitmap)
+
+    def unmatched_rows(self) -> np.ndarray:
+        """Unmatched pairs as a sorted int64 row array."""
+        return np.flatnonzero(~self.labels)
+
+    def matched_by_rule(self, rule_name: str) -> List[int]:
+        """M(r): indices of pairs attributed to ``rule_name``."""
+        return self.matched_rows(rule_name).tolist()
 
     def failed_predicate(self, rule_name: str, slot: str) -> List[int]:
         """U(p): indices of pairs on which the predicate was observed false."""
-        bitmap = self._predicate_false.get((rule_name, slot))
-        if bitmap is None:
-            return []
-        return [int(index) for index in np.flatnonzero(bitmap)]
+        return self.failed_rows(rule_name, slot).tolist()
 
     def clear_rule_match(self, pair_index: int, rule_name: str) -> None:
         bitmap = self._rule_matched.get(rule_name)
@@ -262,14 +331,14 @@ class MatchState:
     def checkpoint(self, include_memo: bool = False) -> "StateCheckpoint":
         """Capture everything a rule edit can change, for :meth:`restore`.
 
-        The captured facts are the function reference (immutable),
-        labels, attribution, and both bitmap families.  The memo is *not*
-        captured by default: memoized feature values depend only on the
-        record pair, never on the matching function, so after a rollback
-        every surviving memo entry is still correct — a deliberately
-        retained warm cache that makes scoring candidate edit N+1 cheaper
-        than candidate N.  ``include_memo=True`` additionally snapshots
-        the memo for callers that need byte-identical accounting.
+        The captured facts are the function and plan references (both
+        immutable), labels, attribution, and both bitmap families.  The
+        memo is *not* captured by default: memoized feature values depend
+        only on the record pair, never on the matching function, so after
+        a rollback every surviving memo entry is still correct — a
+        deliberately retained warm cache that makes scoring candidate edit
+        N+1 cheaper than candidate N.  ``include_memo=True`` additionally
+        snapshots the memo for callers that need byte-identical accounting.
 
         Cost is O(pairs x allocated bitmaps) bytes of copying and no
         feature computation, which is what lets the refinement search
@@ -288,14 +357,16 @@ class MatchState:
                 for key, bitmap in self._predicate_false.items()
             },
             memo_snapshot=self.memo.snapshot() if include_memo else None,
+            plan=self._plan,
         )
 
     def restore(self, checkpoint: "StateCheckpoint") -> None:
         """Rewind to a :meth:`checkpoint`; the checkpoint stays reusable.
 
-        Function, labels, attribution, and bitmaps revert exactly; the
-        memo keeps entries computed since the checkpoint (sound — see
-        :meth:`checkpoint`) unless the checkpoint captured it.
+        Function, plan, labels, attribution, and bitmaps revert exactly
+        (the plan by reference: O(1)); the memo keeps entries computed
+        since the checkpoint (sound — see :meth:`checkpoint`) unless the
+        checkpoint captured it.
         """
         if len(checkpoint.labels) != len(self.candidates):
             raise StateError(
@@ -304,6 +375,7 @@ class MatchState:
                 f"survive candidate-set changes (streaming ingest)"
             )
         self.function = checkpoint.function
+        self._plan = checkpoint.plan
         self.labels = checkpoint.labels.copy()
         self.attribution = checkpoint.attribution.copy()
         self._rule_matched = {
@@ -353,7 +425,8 @@ class MatchState:
         under its new row; gained pairs start with none (unmatched,
         unattributed, cold memo rows).  Copy-on-write: this state is not
         changed, so an ingest that fails later can simply drop the copy.
-        The function, memo backend, and ``check_cache_first`` carry over.
+        The function, its plan, the memo backend, and
+        ``check_cache_first`` carry over.
         """
         if rows.size != len(candidates):
             raise StateError(
@@ -366,6 +439,7 @@ class MatchState:
             self.memo.with_rows(rows),
             self.check_cache_first,
             kernels=self.kernels,
+            plan=self._plan,
         )
         state.attribution = rows.take(self.attribution, -1)
         state.labels, *bitmaps = rows.take_each(
@@ -391,7 +465,7 @@ class MatchState:
         return [int(index) for index in np.flatnonzero(self.labels)]
 
     def unmatched_indices(self) -> List[int]:
-        return [int(index) for index in np.flatnonzero(~self.labels)]
+        return self.unmatched_rows().tolist()
 
     def match_count(self) -> int:
         return int(self.labels.sum())

@@ -17,7 +17,8 @@ candidate index-set:
   size-only bound decides skip the fetch entirely, exactly like the
   scalar ``try_bound`` path;
 * check-cache-first becomes a partition: rows are grouped by their
-  memo-validity vector over the rule's features, and each group runs the
+  memo-validity vector over the rule's features (packed into one integer
+  code per row, see :func:`validity_groups`), and each group runs the
   same cached-predicates-first order the scalar evaluator would pick for
   those pairs.
 
@@ -36,7 +37,7 @@ Features without a kernel fall back per-step to a per-pair
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,51 @@ from ..errors import MatchingError
 from .plan import MatchPlan, RuleStep, plan_function
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
+
+#: Features packed per int64 validity word — 63, leaving the sign bit
+#: clear so packed words order exactly like the bool rows they encode.
+_WORD_BITS = 63
+
+
+def validity_groups(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Group rows by their memo-validity vector across ``columns``.
+
+    ``columns`` holds one bool column per feature, all of one length.
+    Returns ``(flags, inverse)`` exactly as ``np.unique(np.column_stack(
+    columns), axis=0, return_inverse=True)`` would: the distinct vectors
+    in lexicographic order (first feature most significant, ``False``
+    before ``True``) and each row's group index.
+
+    Each row packs into one int64 code per 63 features, the first feature
+    in the most significant bit, so code order *is* that lexicographic
+    order.  One distinct code needs no grouping at all.  Otherwise
+    ``np.unique`` groups the codes: up to 63 features a plain int64 sort
+    of one code per row; wider rules sort their rows of packed words
+    (``axis=0``, a structured sort several times slower).
+    """
+    n_features = len(columns)
+    n_rows = len(columns[0])
+    n_words = -(-n_features // _WORD_BITS)
+    words = np.zeros((n_rows, n_words), dtype=np.int64)
+    for position, column in enumerate(columns):
+        word = words[:, position // _WORD_BITS]
+        word <<= 1
+        word |= column
+    if n_rows and (words == words[0]).all():
+        codes, inverse = words[:1], np.zeros(n_rows, dtype=np.intp)
+    elif n_words == 1:
+        codes, inverse = np.unique(words[:, 0], return_inverse=True)
+        codes = codes[:, None]
+    else:
+        codes, inverse = np.unique(words, axis=0, return_inverse=True)
+        inverse = np.asarray(inverse).reshape(-1)
+    flags = np.empty((len(codes), n_features), dtype=bool)
+    for start in range(0, n_features, _WORD_BITS):
+        width = min(_WORD_BITS, n_features - start)
+        shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+        word = codes[:, start // _WORD_BITS : start // _WORD_BITS + 1]
+        flags[:, start : start + width] = (word >> shifts) & 1
+    return flags, inverse
 
 
 def _compare_rows(predicate: Predicate, values: np.ndarray) -> np.ndarray:
@@ -68,6 +114,14 @@ def _compare_rows(predicate: Predicate, values: np.ndarray) -> np.ndarray:
     if op == "<":
         return values < threshold
     return values == threshold
+
+
+def _cached_first(rule: Rule, features, cached_flags) -> List[Predicate]:
+    """The rule's predicates with those on cached features first (stable)."""
+    cached = {feature.name for feature, flag in zip(features, cached_flags) if flag}
+    return [p for p in rule.predicates if p.feature.name in cached] + [
+        p for p in rule.predicates if p.feature.name not in cached
+    ]
 
 
 class ColumnarExecutor:
@@ -301,43 +355,21 @@ class ColumnarExecutor:
             sampled = profiler.count_rules(rule.name, int(active.size))
             started = profiler.clock() if sampled else 0.0
 
-        features = rule.features()
+        features = rule_step.features
         if not self.plan.check_cache_first or len(features) <= 1:
             survivors = self._rule_pipeline(rule, rule.predicates, active)
         else:
-            validity = np.column_stack(
+            flags, inverse = validity_groups(
                 [self.memo.valid_rows(feature.name, active) for feature in features]
             )
-            groups, inverse = np.unique(validity, axis=0, return_inverse=True)
-            inverse = np.asarray(inverse).reshape(-1)
-            if len(groups) == 1:
-                cached_set = {
-                    feature.name
-                    for feature, flag in zip(features, groups[0])
-                    if flag
-                }
-                order = [
-                    p for p in rule.predicates if p.feature.name in cached_set
-                ] + [
-                    p for p in rule.predicates if p.feature.name not in cached_set
-                ]
+            if len(flags) == 1:
+                order = _cached_first(rule, features, flags[0])
                 survivors = self._rule_pipeline(rule, order, active)
             else:
                 parts: List[np.ndarray] = []
-                for group_index in range(len(groups)):
+                for group_index, group_flags in enumerate(flags):
+                    order = _cached_first(rule, features, group_flags)
                     part_rows = active[inverse == group_index]
-                    cached_set = {
-                        feature.name
-                        for feature, flag in zip(features, groups[group_index])
-                        if flag
-                    }
-                    order = [
-                        p for p in rule.predicates if p.feature.name in cached_set
-                    ] + [
-                        p
-                        for p in rule.predicates
-                        if p.feature.name not in cached_set
-                    ]
                     part = self._rule_pipeline(rule, order, part_rows)
                     if part.size:
                         parts.append(part)
@@ -430,11 +462,15 @@ class ColumnarMatcher(Matcher):
         memo = self.memo if self.memo is not None else self._make_memo(function, candidates)
         self.last_memo = memo
         plan = self.plan
-        if plan is None or plan.function is not function:
+        if plan is None:
             plan = plan_function(
                 function,
                 kernels=self.kernels,
                 check_cache_first=self.check_cache_first,
+            )
+        elif plan.function is not function:
+            raise MatchingError(
+                "ColumnarMatcher was given a plan for a different function"
             )
         executor = ColumnarExecutor(
             plan,

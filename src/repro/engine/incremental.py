@@ -16,6 +16,11 @@ Counter conservation holds for the same reason as the full-run executor:
 pairs are independent, so batching their re-evaluations changes no
 per-pair outcome and no counter sum (see the soundness discussion in
 :mod:`repro.core.incremental`, which applies verbatim).
+
+An edit costs the rows it touches: affected rows come straight off the
+bitmaps as int64 arrays, and the executor runs the state's own plan,
+which reading it after the edit patches to the edited function (only the
+edited rule is re-planned — see :meth:`repro.engine.MatchPlan.for_function`).
 """
 
 from __future__ import annotations
@@ -38,31 +43,18 @@ from ..core.state import MatchState
 from ..core.stats import MatchStats
 from ..errors import ChangeError
 from .executor import ColumnarExecutor
-from .plan import plan_function
 
 
-def _executor(
-    state: MatchState, stats: MatchStats, profiler=None
-) -> ColumnarExecutor:
-    """An executor over the state's *current* function (call after apply_to)."""
-    plan = plan_function(
-        state.function,
-        kernels=state.kernels,
-        check_cache_first=state.check_cache_first,
-    )
+def _executor(state: MatchState, stats: MatchStats) -> ColumnarExecutor:
+    """An executor over the state's *current* plan (call after apply_to)."""
     return ColumnarExecutor(
-        plan,
+        state.plan,
         state.candidates,
         state.memo,
         stats,
         recorder=state,
-        profiler=profiler,
         kernels=state.kernels,
     )
-
-
-def _rows(indices) -> np.ndarray:
-    return np.asarray(indices, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +75,7 @@ def apply_strictening_columnar(
     else:
         raise ChangeError(f"apply_strictening cannot handle {change!r}")
 
-    affected = _rows(state.matched_by_rule(rule_name))
+    affected = state.matched_rows(rule_name)
     state.function = change.apply_to(state.function)
     rule = state.function.rule(rule_name)
     changed_predicate = rule.predicate_by_slot(changed_slot)
@@ -124,7 +116,7 @@ def apply_loosening_columnar(
     else:
         raise ChangeError(f"apply_loosening cannot handle {change!r}")
 
-    failed = _rows(state.failed_predicate(rule_name, slot))
+    failed = state.failed_rows(rule_name, slot)
     state.function = change.apply_to(state.function)
     rule = state.function.rule(rule_name)
     rule_position = state.function.rule_index(rule_name)
@@ -190,7 +182,7 @@ def apply_remove_rule_columnar(
     stats = MatchStats()
     change.validate(state.function)
     rule_name = change.rule_name
-    affected = _rows(state.matched_by_rule(rule_name))
+    affected = state.matched_rows(rule_name)
     old_index = state.function.rule_index(rule_name)
     state.function = change.apply_to(state.function)
     state.drop_rule(rule_name, old_index)
@@ -221,7 +213,7 @@ def apply_add_rule_columnar(
     started = time.perf_counter()
     stats = MatchStats()
     change.validate(state.function)
-    affected = _rows(state.unmatched_indices())
+    affected = state.unmatched_rows()
     state.function = change.apply_to(state.function)
 
     executor = _executor(state, stats)

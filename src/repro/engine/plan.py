@@ -16,15 +16,24 @@ context to parallel workers, and for the per-plan engine choice
 (:func:`choose_engine`, stored as :attr:`MatchPlan.decision`) that an
 ``engine="auto"`` session resolves through — the executor itself never
 branches on them.
+
+Plan lifetime: a session compiles one plan per run or reorder and the
+:class:`~repro.core.state.MatchState` owns it next to the function.  A
+rule edit does not recompile: :meth:`MatchPlan.for_function` keeps every
+:class:`RuleStep` whose ``Rule`` object the edited function still holds
+and plans only the new ones, and each plan version decides its engine at
+most once — so an edit costs one rule's planning plus, when the session
+asks for the engine, one pass of :func:`choose_engine`'s arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.cost_model import CALIBRATED_BOUND_COST, CALIBRATED_TIER_COSTS
-from ..core.rules import MatchingFunction, Predicate, Rule
+from ..core.rules import Feature, MatchingFunction, Predicate, Rule
 from ..errors import EstimationError
 
 #: Annotation key: (rule name, predicate pid).
@@ -100,6 +109,12 @@ class RuleStep:
 
     rule: Rule
     steps: Tuple[PredicateStep, ...]
+    #: the rule's distinct features in first-appearance order — the
+    #: columns of the executor's check-cache-first partition.
+    features: Tuple[Feature, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "features", tuple(self.rule.features()))
 
     @property
     def fully_kernel_supported(self) -> bool:
@@ -225,9 +240,40 @@ class MatchPlan:
     rule_steps: Tuple[RuleStep, ...]
     check_cache_first: bool = False
     use_bounds: bool = False
-    #: the cost model's engine choice; always populated by
-    #: :func:`plan_function` and :meth:`PlanSpec.bind`.
-    decision: Optional[EngineDecision] = None
+    #: the kernels and cost estimates the plan was compiled against —
+    #: what :meth:`for_function` plans edited rules with.
+    kernels: Any = field(default=None, repr=False, compare=False)
+    estimates: Any = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def decision(self) -> EngineDecision:
+        """The cost model's engine choice (:func:`choose_engine`), made at
+        most once per plan, on first use."""
+        return choose_engine(self)
+
+    def for_function(self, function: MatchingFunction) -> "MatchPlan":
+        """This plan patched to an edited version of its function.
+
+        Rule steps whose ``Rule`` object ``function`` still holds are
+        reused as they are (rules are immutable, and the kernels and
+        estimates have not changed, so re-planning them would annotate
+        them identically); every other rule is planned afresh.  The
+        patched plan's :attr:`decision` is therefore bit-identical to that
+        of a from-scratch :func:`plan_function` with the same kernels and
+        estimates, at the cost of the edited rules only.
+        """
+        if function is self.function:
+            return self
+        held = {rule_step.rule.name: rule_step for rule_step in self.rule_steps}
+        rule_steps = []
+        for rule in function.rules:
+            rule_step = held.get(rule.name)
+            if rule_step is None or rule_step.rule is not rule:
+                rule_step = _plan_rule(
+                    rule, self.kernels, self.estimates, self.use_bounds
+                )
+            rule_steps.append(rule_step)
+        return replace(self, function=function, rule_steps=tuple(rule_steps))
 
     @property
     def fully_kernel_supported(self) -> bool:
@@ -247,8 +293,7 @@ class MatchPlan:
         lines = [
             f"MatchPlan: {len(self.rule_steps)} rules, {', '.join(flags)}"
         ]
-        if self.decision is not None:
-            lines.append(f"  {self.decision.describe()}")
+        lines.append(f"  {self.decision.describe()}")
         for rule_step in self.rule_steps:
             tag = "kernel" if rule_step.fully_kernel_supported else "mixed"
             lines.append(f"  rule {rule_step.rule.name} [{tag}]")
@@ -314,17 +359,46 @@ class PlanSpec:
                         bound_skip_rate=skip_rate,
                     )
                 )
-            rule_steps.append(RuleStep(rule=rule_step.rule, steps=tuple(steps)))
-        bound = MatchPlan(
-            function=function,
-            rule_steps=tuple(rule_steps),
-            check_cache_first=self.check_cache_first,
-            use_bounds=self.use_bounds,
+            rule_steps.append(replace(rule_step, steps=tuple(steps)))
+        # The bound plan decides its engine against the *worker's* kernels
+        # and the parent's cost annotations — support was recomputed
+        # above, so the same spec can resolve differently per process.
+        return replace(plan, rule_steps=tuple(rule_steps))
+
+
+def _plan_rule(rule: Rule, kernels, estimates, use_bounds: bool) -> RuleStep:
+    """Annotate one rule's predicates (see :func:`plan_function`)."""
+    steps = []
+    for predicate in rule.predicates:
+        feature = predicate.feature
+        supported = kernels is not None and kernels.supports(feature)
+        if supported:
+            reason = None
+        elif kernels is None:
+            reason = "no kernel layer bound (scalar session)"
+        else:
+            reason = kernels.support_reason(feature)
+        bound_eligible = bool(supported and use_bounds and kernels.has_bound(feature))
+        cost = selectivity = skip_rate = None
+        if estimates is not None:
+            cost = estimates.feature_costs.get(feature.name)
+            try:
+                selectivity = estimates.selectivity(predicate)
+            except EstimationError:
+                selectivity = None
+            skip_rate = estimates.bound_skip_rates.get(predicate.pid)
+        steps.append(
+            PredicateStep(
+                predicate=predicate,
+                kernel_supported=supported,
+                bound_eligible=bound_eligible,
+                est_cost=cost,
+                est_selectivity=selectivity,
+                bound_skip_rate=skip_rate,
+                unsupported_reason=reason,
+            )
         )
-        # Re-decide the engine against the *worker's* kernels and the
-        # parent's cost annotations — support was recomputed above, so
-        # the same spec can resolve differently per process.
-        return replace(bound, decision=choose_engine(bound))
+    return RuleStep(rule=rule, steps=tuple(steps))
 
 
 def plan_function(
@@ -344,45 +418,14 @@ def plan_function(
     """
     if use_bounds is None:
         use_bounds = bool(kernels is not None and kernels.use_bounds)
-    rule_steps = []
-    for rule in function.rules:
-        steps = []
-        for predicate in rule.predicates:
-            feature = predicate.feature
-            supported = kernels is not None and kernels.supports(feature)
-            if supported:
-                reason = None
-            elif kernels is None:
-                reason = "no kernel layer bound (scalar session)"
-            else:
-                reason = kernels.support_reason(feature)
-            bound_eligible = bool(
-                supported and use_bounds and kernels.has_bound(feature)
-            )
-            cost = selectivity = skip_rate = None
-            if estimates is not None:
-                cost = estimates.feature_costs.get(feature.name)
-                try:
-                    selectivity = estimates.selectivity(predicate)
-                except EstimationError:
-                    selectivity = None
-                skip_rate = estimates.bound_skip_rates.get(predicate.pid)
-            steps.append(
-                PredicateStep(
-                    predicate=predicate,
-                    kernel_supported=supported,
-                    bound_eligible=bound_eligible,
-                    est_cost=cost,
-                    est_selectivity=selectivity,
-                    bound_skip_rate=skip_rate,
-                    unsupported_reason=reason,
-                )
-            )
-        rule_steps.append(RuleStep(rule=rule, steps=tuple(steps)))
-    plan = MatchPlan(
+    return MatchPlan(
         function=function,
-        rule_steps=tuple(rule_steps),
+        rule_steps=tuple(
+            _plan_rule(rule, kernels, estimates, use_bounds)
+            for rule in function.rules
+        ),
         check_cache_first=check_cache_first,
         use_bounds=use_bounds,
+        kernels=kernels,
+        estimates=estimates,
     )
-    return replace(plan, decision=choose_engine(plan))

@@ -370,6 +370,7 @@ class RefinementSearch:
             state.memo,
             check_cache_first=state.check_cache_first,
             kernels=self.kernels,
+            plan=state.plan,
         )
         matcher = DynamicMemoMatcher(
             memo=state.memo,
@@ -382,7 +383,12 @@ class RefinementSearch:
         self.state = fresh
 
     def _apply(self, change: Change) -> None:
-        """Apply one candidate edit via the configured engine."""
+        """Apply one candidate edit via the configured engine.
+
+        A columnar edit patches the state's plan (re-planning only the
+        edited rule), a scalar one never reads it, and the rollback that
+        follows restores the parent's plan by reference — a scored
+        candidate never compiles a plan."""
         if self.engine == "columnar":
             from ..engine import apply_change_columnar
 

@@ -371,15 +371,15 @@ class StreamingSession:
         profiler = (
             observability.profiler if observability is not None else None
         )
-        engine, plan = self.session._engine_and_plan(state.function)
-        if engine == "columnar":
+        if self.session._engine_for(state) == "columnar":
             # Set-at-a-time re-match: one executor pass over the affected
-            # index set, recording into the state exactly as a full
-            # columnar run would (bit-identical to the scalar loop below).
+            # index set under the plan the state carried across the
+            # ingest, recording into the state exactly as a full columnar
+            # run would (bit-identical to the scalar loop below).
             from ..engine import ColumnarExecutor
 
             executor = ColumnarExecutor(
-                plan,
+                state.plan,
                 state.candidates,
                 state.memo,
                 stats,
@@ -436,7 +436,7 @@ class StreamingSession:
             estimates=self.session.estimates,
             observability=self.observability,
             kernels=state.kernels,
-            engine=self.session._resolve_engine(function),
+            engine=self.session._engine_for(state),
         )
         result = matcher.run(function, sub_candidates)
         index_map = {local: affected[local] for local in range(len(affected))}

@@ -336,13 +336,13 @@ class Workbench:
         if self.session is None:
             raise WorkbenchError("load a dataset first")
         session = self.session
-        function = (
-            session.state.function
-            if session.state is not None
-            else session.initial_function
+        plan = (
+            session.state.plan if session.state is not None
+            else session.compile_plan()
         )
-        plan = session.compile_plan(function)
-        resolved = session._resolve_engine(function)
+        resolved = (
+            plan.decision.engine if session.engine == "auto" else session.engine
+        )
         return plan.describe() + f"\nengine: {session.engine} -> {resolved}"
 
     def cmd_run(self, arguments: List[str]) -> str:

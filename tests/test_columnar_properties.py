@@ -33,6 +33,7 @@ from repro.core.matchers import TraceLog
 from repro.core.state import MatchState
 from repro.data import CandidateSet, Record, Table, load_dataset
 from repro.engine import ColumnarMatcher, apply_change_columnar, plan_function
+from repro.engine.executor import validity_groups
 from repro.kernels import FeatureKernels
 from repro.similarity import (
     AbsoluteDifference,
@@ -242,11 +243,50 @@ def test_fully_supported_plans_never_fall_back(tables, function):
     plan = plan_function(function, kernels=kernels)
     assert plan.fully_kernel_supported
     matcher = ColumnarMatcher(kernels=kernels)
-    matcher.run(function, candidates)
+    result = matcher.run(function, candidates)
     assert matcher.last_executor.scalar_fallbacks == 0
-    assert matcher.last_executor.mask_evals > 0
+    # a mask is evaluated exactly when some row reaches a feature fetch
+    # (the bound pre-filter can decide every row of a tiny example)
+    assert (matcher.last_executor.mask_evals > 0) == (
+        result.stats.predicate_evaluations > 0
+    )
     scalar, columnar = run_both(function, candidates, False, True, True)
     assert_parity(scalar, columnar)
+
+
+@st.composite
+def validity_strategy(draw):
+    """0-200 rows x 1-70 feature columns (crossing one 63-bit word), drawn
+    from a few row patterns so that groups repeat."""
+    n_rows = draw(st.integers(min_value=0, max_value=200))
+    n_features = draw(st.integers(min_value=1, max_value=70))
+    row = st.lists(st.booleans(), min_size=n_features, max_size=n_features)
+    patterns = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=len(patterns) - 1),
+            min_size=n_rows,
+            max_size=n_rows,
+        )
+    )
+    matrix = np.array([patterns[pick] for pick in picks], dtype=bool).reshape(
+        n_rows, n_features
+    )
+    return [matrix[:, column].copy() for column in range(n_features)]
+
+
+@given(columns=validity_strategy())
+@settings(max_examples=200, deadline=None)
+def test_packed_partition_matches_unique(columns):
+    """The executor's packed check-cache-first partition groups rows exactly
+    as ``np.unique(validity, axis=0)`` does: same groups, same group order,
+    same row assignment."""
+    validity = np.column_stack(columns)
+    groups, inverse = np.unique(validity, axis=0, return_inverse=True)
+    flags, packed_inverse = validity_groups(columns)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, groups)
+    assert np.array_equal(packed_inverse, np.asarray(inverse).reshape(-1))
 
 
 @given(

@@ -18,9 +18,15 @@ import pytest
 
 from repro.blocking import CartesianBlocker
 from repro.core import (
+    AddPredicate,
+    AddRule,
     CostEstimator,
     DebugSession,
     DynamicMemoMatcher,
+    RelaxPredicate,
+    RemovePredicate,
+    RemoveRule,
+    Rule,
     TightenPredicate,
     parse_function,
 )
@@ -274,29 +280,30 @@ class TestSessionEngine:
         scalar_only = parse_function(SCALAR_ONLY_DSL)
         session = DebugSession(people_candidates, supported)
         assert session.engine == "auto"
-        assert session._resolve_engine(supported) == "columnar"
+        assert session.compile_plan(supported).decision.engine == "columnar"
         # mixed plans resolve by cost: the supported jaccard step carries
         # enough expected work that columnar wins despite one fallback...
-        assert session._resolve_engine(mixed) == "columnar"
+        assert session.compile_plan(mixed).decision.engine == "columnar"
         # ...whereas an all-fallback plan is pure overhead — scalar.
-        assert session._resolve_engine(scalar_only) == "scalar"
+        assert session.compile_plan(scalar_only).decision.engine == "scalar"
         no_kernels = DebugSession(
             people_candidates, supported, use_kernels=False
         )
-        assert no_kernels._resolve_engine(supported) == "scalar"
+        assert no_kernels.compile_plan(supported).decision.engine == "scalar"
         forced = DebugSession(
             people_candidates, scalar_only, engine="columnar"
         )
-        assert forced._resolve_engine(scalar_only) == "columnar"
+        forced.run()
+        assert forced._engine_for(forced.state) == "columnar"
 
     def test_decision_matches_resolution(self, people_candidates):
         session = DebugSession(people_candidates, parse_function(MIXED_DSL))
         plan = session.compile_plan()
         decision = plan.decision
         assert decision is not None
-        assert decision.engine == session._resolve_engine(
+        assert decision.engine == session.compile_plan(
             session.initial_function
-        )
+        ).decision.engine
         assert decision.mode == "mixed"
         assert decision.supported_steps == 1 and decision.total_steps == 2
         assert decision.columnar_cost < decision.scalar_cost
@@ -383,6 +390,184 @@ class TestIncrementalColumnar:
         )
         assert result.change is change
         state.check_soundness()
+
+
+# ----------------------------------------------------------------------
+# Plan lifetime: one plan per function version, patched per edit
+# ----------------------------------------------------------------------
+
+#: token, edit-distance and monge_elkan (fallback) features over three
+#: rules, so every edit kind has a target and plans are mixed.
+LIFETIME_DSL = """
+R1: jaccard_ws(name, name) >= 0.3 AND trigram(zip, zip) >= 0.6
+R2: trigram(name, name) >= 0.8
+R3: monge_elkan(name, name) >= 0.9 AND levenshtein(street, street) >= 0.5
+"""
+
+
+def _predicate(rule, feature_name):
+    return next(p for p in rule.predicates if p.feature.name == feature_name)
+
+
+def _lifetime_edits(function):
+    """``(kind, change, inverse, edited rule name)`` for all six edit kinds,
+    by rule name (the session orders rules by estimated cost)."""
+    r1, r2, r3 = (function.rule(name) for name in ("R1", "R2", "R3"))
+    jaccard = _predicate(r1, "jaccard_ws(name,name)")
+    trigram_zip = _predicate(r1, "trigram(zip,zip)")
+    levenshtein = _predicate(r3, "levenshtein(street,street)")
+    new_rule = Rule("R4", [jaccard.with_threshold(0.7)])
+    return [
+        ("tighten", TightenPredicate("R1", jaccard.slot, 0.6),
+         RelaxPredicate("R1", jaccard.slot, 0.3), "R1"),
+        ("relax", RelaxPredicate("R3", levenshtein.slot, 0.2),
+         TightenPredicate("R3", levenshtein.slot, 0.5), "R3"),
+        ("add_predicate", AddPredicate("R2", jaccard),
+         RemovePredicate("R2", jaccard.slot), "R2"),
+        ("remove_predicate", RemovePredicate("R1", trigram_zip.slot),
+         AddPredicate("R1", trigram_zip), "R1"),
+        ("add_rule", AddRule(new_rule), RemoveRule("R4"), "R4"),
+        ("remove_rule", RemoveRule("R2"), AddRule(r2), None),
+    ]
+
+
+def _fresh_plan(session):
+    """A from-scratch compile with the session's kernels and estimates."""
+    return plan_function(
+        session.state.function,
+        kernels=session.kernels,
+        estimates=session.estimates,
+        check_cache_first=session.check_cache_first,
+    )
+
+
+def _assert_plan_current(session):
+    plan = session.state.plan
+    assert plan.function is session.state.function
+    assert len(plan.rule_steps) == len(plan.function.rules)
+    assert all(
+        step.rule is rule
+        for step, rule in zip(plan.rule_steps, plan.function.rules)
+    )
+    assert plan.decision == _fresh_plan(session).decision
+
+
+class TestPlanLifetime:
+    @pytest.mark.parametrize("engine", ["auto", "columnar", "scalar"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["tighten", "relax", "add_predicate", "remove_predicate",
+         "add_rule", "remove_rule"],
+    )
+    def test_edit_replans_only_the_edited_rule(
+        self, people_candidates, engine, kind
+    ):
+        session = DebugSession(
+            people_candidates, parse_function(LIFETIME_DSL), engine=engine
+        )
+        session.run()
+        edits = {row[0]: row for row in _lifetime_edits(session.function)}
+        _, change, _, edited = edits[kind]
+        before = session.state.plan
+        held = {step.rule.name: step for step in before.rule_steps}
+        session.apply(change)
+        after = session.state.plan
+        replanned = [
+            step.rule.name
+            for step in after.rule_steps
+            if not any(step is old for old in before.rule_steps)
+        ]
+        assert replanned == ([] if edited is None else [edited])
+        for step in after.rule_steps:
+            if step.rule.name != edited:
+                assert step is held[step.rule.name]
+        _assert_plan_current(session)
+
+    @pytest.mark.parametrize("engine", ["auto", "columnar", "scalar"])
+    def test_restore_brings_back_the_checkpointed_plan(
+        self, people_candidates, engine
+    ):
+        session = DebugSession(
+            people_candidates, parse_function(LIFETIME_DSL), engine=engine
+        )
+        session.run()
+        state = session.state
+        checkpoint = state.checkpoint()
+        for _, change, _, _ in _lifetime_edits(state.function)[:3]:
+            session.apply(change)
+        assert state.plan is not checkpoint.plan
+        state.restore(checkpoint)
+        assert state.plan is checkpoint.plan
+        _assert_plan_current(session)
+
+    def test_reorder_compiles_against_the_new_estimates(self, people_candidates):
+        session = DebugSession(people_candidates, parse_function(LIFETIME_DSL))
+        session.run()
+        session.apply(_lifetime_edits(session.function)[4][1])
+        estimates = session.estimates
+        session.reorder()
+        assert session.estimates is not estimates
+        assert session.state.plan.estimates is session.estimates
+        _assert_plan_current(session)
+
+    def test_ingest_carries_the_plan_unchanged(self):
+        table_a = Table("A", ["name", "zip", "street"])
+        table_a.add_row("a1", name="john doe", zip="53703", street="main st")
+        table_a.add_row("a2", name="alice roe", zip="53706", street="oak ave")
+        table_b = Table("B", ["name", "zip", "street"])
+        table_b.add_row("b1", name="jon doe", zip="53703", street="main st")
+        table_b.add_row("b2", name="bob poe", zip="10001", street="elm rd")
+        stream = StreamingSession(
+            table_a, table_b, CartesianBlocker(), parse_function(LIFETIME_DSL)
+        )
+        stream.run()
+        stream.apply(_lifetime_edits(stream.function)[0][1])
+        plan = stream.state.plan
+        stream.ingest(Delta("update", "b", "b2", {"name": "john doe"}))
+        assert stream.state.plan is plan
+        _assert_plan_current(stream.session)
+        stream.ingest(Delta("insert", "a", "a3", {"name": "jon doe"}))
+        assert stream.state.plan is plan
+        _assert_plan_current(stream.session)
+
+    def test_scalar_edits_leave_the_plan_unread(self, people_candidates, monkeypatch):
+        session = DebugSession(
+            people_candidates, parse_function(LIFETIME_DSL), engine="scalar"
+        )
+        session.run()
+        patched = []
+        for_function = MatchPlan.for_function
+
+        def counting(plan, function):
+            patched.append(function)
+            return for_function(plan, function)
+
+        monkeypatch.setattr(MatchPlan, "for_function", counting)
+        for index in range(6):
+            _, change, inverse, _ = _lifetime_edits(session.function)[index]
+            session.apply(change)
+            session.apply(inverse)
+        assert patched == []
+        # the first read patches once, across all twelve edits
+        _assert_plan_current(session)
+        assert patched == [session.state.function]
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_plan_size_stays_bounded_by_the_rules(self, people_candidates, engine):
+        session = DebugSession(
+            people_candidates, parse_function(LIFETIME_DSL), engine=engine
+        )
+        session.run()
+        labels = session.labels().copy()
+        for index in range(200):
+            edits = _lifetime_edits(session.function)
+            _, change, inverse, _ = edits[index % len(edits)]
+            session.apply(change)
+            session.apply(inverse)
+            assert np.array_equal(session.labels(), labels)
+        plan = session.state.plan
+        assert len(plan.rule_steps) == len(session.function.rules)
+        _assert_plan_current(session)
 
 
 # ----------------------------------------------------------------------
