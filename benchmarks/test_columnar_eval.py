@@ -10,14 +10,20 @@ indices, reading memoized values as whole :class:`~repro.core.ArrayMemo`
 columns.
 
 This bench runs the **stock learned products workload — all 255 rules,
-no filtering** — so it also pins the PR's coverage bar: with the exact,
-edit-distance, numeric, phonetic, and TF-IDF kernel families in place,
-at least 200 of the 255 learned rules must be fully kernel-supported
-(only monge_elkan steps remain per-pair), and the cost model's
+no filtering** — so it also pins the coverage bar: with the exact,
+edit-distance, numeric, phonetic, TF-IDF and Monge-Elkan kernel
+families in place, all 255 learned rules are fully kernel-supported (no
+step falls back to the per-pair path), and the cost model's
 ``engine="auto"`` decision must pick columnar for the plan.  It times
 both engines over the *same* warm memo, asserts bit-identical labels,
-and pins the speedup floor the PR promises: columnar >= 2x faster than
-warm-cache scalar.
+and pins the speedup floor: columnar >= 2x faster than warm-cache
+scalar.
+
+A cold phase times what an analyst waits for first: a fresh
+``DebugSession.run()`` (estimate, order, match, every memo empty) with
+the kernel layer and with ``use_kernels=False``.  Labels must agree, and
+the kernel layer — record caches plus the token-pair memo under
+Monge-Elkan and Soft TF-IDF — must make the cold run at least 2x faster.
 
 An edit phase then runs the paper's §7.6 edit protocol on an ``auto``
 session over the same workload — 30 edit/inverse pairs across
@@ -26,7 +32,7 @@ ratio floor: the median edit must cost at most half of one full
 ``plan_function`` compile with estimates.  An edit patches the session's
 plan (one rule re-planned) instead of compiling it, so its cost follows
 the rows it touches, not the rule count.  Results — timings, coverage,
-the auto-engine decision, and the edit phase — land in
+the auto-engine decision, the edit phase and the cold phase — land in
 ``benchmarks/BENCH_columnar_eval.json``.
 """
 
@@ -61,9 +67,11 @@ from conftest import print_series, random_change
 #: speedup floor asserted by this bench (columnar vs warm-cache scalar).
 MIN_SPEEDUP = 2.0
 #: coverage floor: fully kernel-supported rules out of the 255 learned.
-MIN_SUPPORTED_RULES = 200
+MIN_SUPPORTED_RULES = 255
 #: ceiling on (edit p50) / (one full plan compile with estimates).
 MAX_EDIT_OVER_COMPILE = 0.5
+#: floor on (cold run without kernels) / (cold run with kernels).
+MIN_COLD_SPEEDUP = 2.0
 
 BENCH_PAIRS = 2500
 EDIT_PAIRS = 30
@@ -78,8 +86,8 @@ _RESULTS = {}
 @pytest.fixture(scope="module")
 def columnar_workload(products_workload, bench_candidates):
     """(function, candidates, kernels, plan): the stock 255-rule learned
-    products workload — nothing filtered, monge_elkan fallbacks and all —
-    compiled against the full kernel layer."""
+    products workload — nothing filtered — compiled against the full
+    kernel layer."""
     kernels = FeatureKernels()
     function = products_workload.function
     plan = plan_function(function, kernels=kernels)
@@ -102,8 +110,8 @@ def warm_memo(columnar_workload):
 
 
 def test_kernel_coverage_and_auto_decision(benchmark, columnar_workload):
-    """The PR's coverage bar: >= 200/255 learned rules fully
-    kernel-supported, and the cost model resolves auto -> columnar."""
+    """The coverage bar: all 255 learned rules fully kernel-supported,
+    and the cost model resolves auto -> columnar."""
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     function, candidates, _, plan = columnar_workload
     total_rules = len(plan.rule_steps)
@@ -117,7 +125,8 @@ def test_kernel_coverage_and_auto_decision(benchmark, columnar_workload):
     )
     decision = plan.decision
     assert decision.engine == "columnar"
-    assert decision.mode == "mixed"  # monge_elkan keeps some steps scalar
+    assert decision.mode == "columnar"  # no step falls back per pair
+    assert supported_rules == total_rules
     assert decision.columnar_cost < decision.scalar_cost
     # the session-level resolution agrees with the plan's decision
     session = DebugSession(candidates, function)
@@ -235,6 +244,36 @@ def test_edit_phase(benchmark, columnar_workload):
     }
 
 
+def test_cold_phase(benchmark, columnar_workload):
+    """A cold ``DebugSession.run()`` with the kernel layer and without:
+    the same labels, and the kernel run's token-pair memo traffic."""
+    function, candidates, _, _ = columnar_workload
+    runs = {}
+
+    def run_cold():
+        for use_kernels in (True, False):
+            session = DebugSession(candidates, function, use_kernels=use_kernels)
+            started = time.perf_counter()
+            result = session.run()
+            runs[use_kernels] = (
+                time.perf_counter() - started,
+                result.labels.copy(),
+                session.kernels,
+            )
+
+    benchmark.pedantic(run_cold, rounds=1, iterations=1)
+    kernels_seconds, kernels_labels, kernels = runs[True]
+    plain_seconds, plain_labels, _ = runs[False]
+    assert np.array_equal(kernels_labels, plain_labels)
+    memo = kernels.token_pairs
+    _RESULTS["cold"] = {
+        "kernels_seconds": kernels_seconds,
+        "no_kernels_seconds": plain_seconds,
+        "memo_lookups": memo.total_hits + memo.total_misses,
+        "memo_entries": len(memo),
+    }
+
+
 def test_columnar_eval_report(benchmark, columnar_workload):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     function, candidates, _, _ = columnar_workload
@@ -242,8 +281,10 @@ def test_columnar_eval_report(benchmark, columnar_workload):
     columnar = _RESULTS["columnar"]
     coverage = _RESULTS["coverage"]
     edits = _RESULTS["edits"]
+    cold = _RESULTS["cold"]
     speedup = scalar["seconds"] / columnar["seconds"]
     edit_over_compile = edits["edit_p50_seconds"] / edits["compile_seconds"]
+    cold_speedup = cold["no_kernels_seconds"] / cold["kernels_seconds"]
 
     print_series(
         f"Columnar vs warm-cache scalar "
@@ -281,6 +322,21 @@ def test_columnar_eval_report(benchmark, columnar_workload):
         ],
     )
 
+    print_series(
+        f"Cold run ({len(candidates)} pairs, {len(function.rules)} rules, "
+        f"fresh session: estimate + order + match)",
+        ["kernels", "no kernels", "ratio", "memo lookups", "memo entries"],
+        [
+            [
+                f"{cold['kernels_seconds']:.2f}s",
+                f"{cold['no_kernels_seconds']:.2f}s",
+                f"{cold_speedup:.2f}x",
+                cold["memo_lookups"],
+                cold["memo_entries"],
+            ]
+        ],
+    )
+
     payload = {
         "pairs": len(candidates),
         "rules": len(function.rules),
@@ -314,6 +370,14 @@ def test_columnar_eval_report(benchmark, columnar_workload):
             "edit_p50_over_compile": edit_over_compile,
             "max_edit_over_compile_floor": MAX_EDIT_OVER_COMPILE,
         },
+        "cold_phase": {
+            "kernels_seconds": cold["kernels_seconds"],
+            "no_kernels_seconds": cold["no_kernels_seconds"],
+            "no_kernels_over_kernels": cold_speedup,
+            "memo_lookups": cold["memo_lookups"],
+            "memo_entries": cold["memo_entries"],
+            "min_cold_speedup_floor": MIN_COLD_SPEEDUP,
+        },
     }
     out_path = Path(__file__).resolve().parent / "BENCH_columnar_eval.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -325,8 +389,7 @@ def test_columnar_eval_report(benchmark, columnar_workload):
         assert getattr(scalar["stats"], counter) == getattr(
             columnar["stats"], counter
         ), counter
-    # 2. the engine actually ran set-at-a-time (fallback steps allowed —
-    #    the stock workload keeps its monge_elkan rules);
+    # 2. the engine actually ran set-at-a-time;
     assert columnar["mask_evals"] > 0
     # 3. the speedup the split exists for, on the *unfiltered* workload;
     assert speedup >= MIN_SPEEDUP, (
@@ -337,4 +400,9 @@ def test_columnar_eval_report(benchmark, columnar_workload):
     assert edit_over_compile <= MAX_EDIT_OVER_COMPILE, (
         f"edit p50 is {edit_over_compile:.2f}x one full plan compile; "
         f"ceiling is {MAX_EDIT_OVER_COMPILE:.2f}x"
+    )
+    # 5. the kernel layer pays off where the analyst waits longest: cold.
+    assert cold_speedup >= MIN_COLD_SPEEDUP, (
+        f"a cold run with kernels is only {cold_speedup:.2f}x faster than "
+        f"without; floor is {MIN_COLD_SPEEDUP:.1f}x"
     )

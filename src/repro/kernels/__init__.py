@@ -14,7 +14,10 @@ matching decision:
   that touches the same attribute.
 * :class:`DerivedValueCache` — the same idea for non-token derived forms:
   normalized strings (exact/edit-distance families), parsed numbers, and
-  per-record TF-IDF vectors.
+  per-record TF-IDF vectors and token lists.
+* :class:`TokenPairMemo` — secondary-measure scores per ordered token
+  pair, shared by Monge-Elkan and Soft TF-IDF, so a cold match compares
+  each pair of tokens once instead of once per (pair, feature).
 * :class:`FeatureKernels` — the façade the matchers talk to: per-pair
   cached computation (:meth:`FeatureKernels.compute`), whole-column
   batched computation for the precompute strategies
@@ -28,7 +31,7 @@ decide a predicate when the decision is provably what the full
 computation would return.  See ``docs/performance.md``.
 """
 
-from .cache import DerivedValueCache, TokenCache
+from .cache import DerivedValueCache, TokenCache, TokenPairMemo
 from .feature_kernels import FeatureKernels
 
-__all__ = ["TokenCache", "DerivedValueCache", "FeatureKernels"]
+__all__ = ["TokenCache", "DerivedValueCache", "TokenPairMemo", "FeatureKernels"]

@@ -18,6 +18,11 @@ and ``Dice(ws)`` features over the same attribute share one bucket while
 unique per table side, and the streaming layer invalidates ids it touches
 (a ``Table.replace`` swaps the record object under the same id, so
 identity of the id alone is not enough across deltas).
+
+:class:`TokenPairMemo` is the one cache here keyed by values rather than
+records: secondary-measure scores of ordered token pairs, for the
+measures that compare tokens below the pair memo (Monge-Elkan, Soft
+TF-IDF).
 """
 
 from __future__ import annotations
@@ -249,3 +254,98 @@ class DerivedValueCache:
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
+
+
+class _PairBucket:
+    """One secondary measure's scores per ordered token pair."""
+
+    __slots__ = ("compare", "scores", "lookups")
+
+    def __init__(self, compare: Callable[[str, str], float]):
+        self.compare = compare
+        #: (x, y) -> compare(x, y), exactly as computed
+        self.scores: Dict[Tuple[str, str], float] = {}
+        self.lookups = 0
+
+    def lookup(self, x: str, y: str) -> float:
+        self.lookups += 1
+        key = (x, y)
+        try:
+            return self.scores[key]
+        except KeyError:
+            score = self.scores[key] = self.compare(x, y)
+            return score
+
+
+class TokenPairMemo:
+    """Secondary-measure scores per ordered token pair, with counters.
+
+    Monge-Elkan and Soft TF-IDF compare tokens of one value with tokens of
+    the other through a secondary measure (Jaro-Winkler by default).
+    Those comparisons sit below the pair memo, so the same two tokens are
+    compared again for every pair and feature they occur in.  This memo
+    maps ordered ``(x, y)`` token strings to the exact float
+    ``secondary.compare(x, y)`` returned — ordered, because a measure may
+    round differently with its arguments swapped — in one bucket per
+    ``secondary.cache_key()``, so every feature whose secondary behaves
+    the same (Monge-Elkan and Soft TF-IDF over the same tokens, say)
+    shares one bucket.
+
+    Keys are token strings, not records: no record delta or corpus swap
+    makes an entry stale, so nothing is ever evicted, and the hit/miss
+    split needs no per-miss counter (each miss adds exactly one entry).
+    The memo lives exactly as long as the owning
+    :class:`~repro.kernels.FeatureKernels` and is never persisted.
+    """
+
+    __slots__ = ("_buckets", "_labels")
+
+    def __init__(self):
+        #: secondary.cache_key() -> bucket
+        self._buckets: Dict[tuple, _PairBucket] = {}
+        #: bucket key -> human-readable label, e.g. ``"pairs:jaro_winkler"``
+        self._labels: Dict[tuple, str] = {}
+
+    def lookup(self, secondary) -> Callable[[str, str], float]:
+        """The memoized ``secondary.compare`` for ``secondary``'s bucket."""
+        key = secondary.cache_key()
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _PairBucket(secondary.compare)
+            label = f"pairs:{secondary.name}"
+            if label in self._labels.values():  # same name, other behaviour
+                label = f"{label}#{len(self._buckets)}"
+            self._labels[key] = label
+        return bucket.lookup
+
+    # ------------------------------------------------------- introspection
+
+    def stats(self) -> List[dict]:
+        """Per-secondary-measure sizes and hit/miss counts."""
+        rows = []
+        for key, bucket in sorted(
+            self._buckets.items(), key=lambda item: self._labels[item[0]]
+        ):
+            misses = len(bucket.scores)
+            hits = bucket.lookups - misses
+            rows.append(
+                {
+                    "label": self._labels[key],
+                    "entries": misses,
+                    "hits": hits,
+                    "misses": misses,
+                    "hit_rate": hits / bucket.lookups if bucket.lookups else 0.0,
+                }
+            )
+        return rows
+
+    @property
+    def total_hits(self) -> int:
+        return sum(bucket.lookups for bucket in self._buckets.values()) - len(self)
+
+    @property
+    def total_misses(self) -> int:
+        return len(self)
+
+    def __len__(self) -> int:
+        return sum(len(bucket.scores) for bucket in self._buckets.values())

@@ -1,16 +1,19 @@
 """FeatureKernels: cached, batched, bound-aware feature computation.
 
 This is the façade the matchers talk to.  It owns one
-:class:`~repro.kernels.cache.TokenCache` (token sets) and one
+:class:`~repro.kernels.cache.TokenCache` (token sets), one
 :class:`~repro.kernels.cache.DerivedValueCache` (normalized strings,
-parsed numbers, TF-IDF vectors) and exposes three operations:
+parsed numbers, TF-IDF vectors, token lists) and one
+:class:`~repro.kernels.cache.TokenPairMemo` (secondary-measure scores of
+token pairs), and exposes three operations:
 
 * :meth:`FeatureKernels.compute` — per-pair feature value through the
-  record caches.  Bit-identical to ``Feature.compute``: raw ``None`` on
-  either side scores 0.0 (mirroring ``SimilarityFunction.__call__``),
-  otherwise the cached derived forms feed the measure's family scoring
-  hook (``score_sets`` / ``score_norms`` / ``score_numbers`` /
-  ``score_vectors``), the exact same code the uncached path runs.
+  caches.  Bit-identical to ``Feature.compute``: raw ``None`` on either
+  side scores 0.0 (mirroring ``SimilarityFunction.__call__``), otherwise
+  the cached derived forms feed the measure's family scoring hook
+  (``score_sets`` / ``score_norms`` / ``score_numbers`` /
+  ``score_vectors`` / ``score_tokens``), the exact same code the
+  uncached path runs.
 * :meth:`FeatureKernels.compute_column` / :meth:`compute_rows` — a whole
   score column in one pass.  Families with a vectorized hook
   (``from_counts``, ``from_numbers``, or the interned hash-compare of the
@@ -42,13 +45,22 @@ base's ``compare`` (and family scoring pipeline) intact:
 * :class:`~repro.similarity.tfidf.CorpusVectorSimilarity` — TF-IDF
   family, with the per-record weighted vector cached against the bound
   corpus (plans are invalidated when ``bind_corpus`` swaps it).
+* :class:`~repro.similarity.token_based.MongeElkan` — per-record token
+  lists from the derived-value cache.
 
-Everything else (Monge-Elkan, bag measures, user measures overriding
-``compare``) falls through to the seed per-pair path untouched; the
-reason is recorded and surfaced via :meth:`FeatureKernels.support_reason`,
-a one-time ``engine.kernel_unsupported`` metric, and
-:meth:`drain_unsupported` trace facts, so coverage regressions are
-observable instead of silent.
+Monge-Elkan and Soft TF-IDF score through their secondary measure's
+bucket of the token-pair memo: the measure's own scoring code runs with
+the memo's lookup in place of ``secondary.compare``, so each ordered
+token pair is compared once per kernels object, whichever feature,
+pair or run asks.  The memo lives as long as this object (a session, a
+streaming session, a parallel worker) and is never persisted.
+
+Everything else (Needleman-Wunsch, Smith-Waterman, Editex, Nysiis,
+Hamming, bag measures, user measures overriding ``compare``) falls
+through to the seed per-pair path untouched; the reason is recorded and
+surfaced via :meth:`FeatureKernels.support_reason`, a one-time
+``engine.kernel_unsupported`` metric, and :meth:`drain_unsupported`
+trace facts, so coverage regressions are observable instead of silent.
 """
 
 from __future__ import annotations
@@ -63,9 +75,9 @@ from ..similarity.base import (
     coerce,
 )
 from ..similarity.numeric import NumericSimilarity, parse_number
-from ..similarity.tfidf import CorpusVectorSimilarity
-from ..similarity.token_based import TokenSetSimilarity
-from .cache import DerivedValueCache, TokenCache
+from ..similarity.tfidf import CorpusVectorSimilarity, SoftTfIdf
+from ..similarity.token_based import MongeElkan, TokenSetSimilarity
+from .cache import DerivedValueCache, TokenCache, TokenPairMemo
 
 
 def _decide(bound: float, op: str, threshold: float) -> Optional[bool]:
@@ -377,12 +389,24 @@ class _VectorPlan:
     the bucket kind includes the corpus identity and :meth:`stale`
     invalidates the plan when ``bind_corpus`` swaps the corpus.  The plan
     holds a strong reference to the corpus so the ``id()`` in the bucket
-    key cannot be recycled while the plan is alive.
+    key cannot be recycled while the plan is alive.  ``lookup`` is the
+    token-pair memo of a Soft TF-IDF secondary (``None`` for plain
+    TF-IDF); the memo is keyed by tokens alone, so a corpus swap leaves
+    it valid.
     """
 
-    __slots__ = ("sim", "corpus", "attr_a", "attr_b", "key_a", "key_b", "has_bound")
+    __slots__ = (
+        "sim",
+        "corpus",
+        "attr_a",
+        "attr_b",
+        "key_a",
+        "key_b",
+        "lookup",
+        "has_bound",
+    )
 
-    def __init__(self, feature, values: DerivedValueCache):
+    def __init__(self, feature, values: DerivedValueCache, lookup):
         sim = feature.sim
         self.sim = sim
         self.corpus = sim.corpus
@@ -392,6 +416,7 @@ class _VectorPlan:
         label = f"tfidf:{sim.tokenizer.name}"
         self.key_a = values.bucket(feature.attr_a, kind, label)
         self.key_b = values.bucket(feature.attr_b, kind, label)
+        self.lookup = lookup
         self.has_bound = False
 
     def stale(self) -> bool:
@@ -414,11 +439,70 @@ class _VectorPlan:
             return 0.0
         empty_a, vector_a = weighted_a
         empty_b, vector_b = weighted_b
-        return self.sim.score_vectors(empty_a, vector_a, empty_b, vector_b)
+        return self.sim.score_vectors(
+            empty_a, vector_a, empty_b, vector_b, self.lookup
+        )
 
     def scores(self, caches, pairs, n: int) -> np.ndarray:
         # Scoring is inherently pair-wise Python; the win is the cached
         # per-record weighting (tokenize + idf + normalize once).
+        return np.fromiter(
+            (self.score_pair(caches, pair) for pair in pairs),
+            dtype=np.float64,
+            count=n,
+        )
+
+    def bound_value(self, caches, pair) -> Optional[float]:
+        return None
+
+
+class _TokenListPlan:
+    """Hot-path handles for one Monge-Elkan feature.
+
+    The cached derived form is the value's token list (``None`` for a raw
+    ``None`` value); ``lookup`` is the secondary measure's token-pair
+    memo, handed to the measure's own ``score_tokens``.
+    """
+
+    __slots__ = ("sim", "attr_a", "attr_b", "key_a", "key_b", "lookup", "_derive")
+
+    has_bound = False
+
+    def __init__(self, feature, values: DerivedValueCache, lookup):
+        sim = feature.sim
+        self.sim = sim
+        self.attr_a = feature.attr_a
+        self.attr_b = feature.attr_b
+        kind = ("tokens", sim.tokenizer.cache_key())
+        label = f"tokens:{sim.tokenizer.name}"
+        self.key_a = values.bucket(feature.attr_a, kind, label)
+        self.key_b = values.bucket(feature.attr_b, kind, label)
+        self.lookup = lookup
+        tokenize = sim.tokenizer.tokenize
+
+        def derive(raw):
+            if raw is None:
+                return None
+            return tuple(tokenize(coerce(raw)))
+
+        self._derive = derive
+
+    def stale(self) -> bool:
+        return False
+
+    def score_pair(self, caches, pair) -> float:
+        values = caches[1]
+        tokens_a = values.value(
+            self.key_a, "a", pair.record_a, self.attr_a, self._derive
+        )
+        tokens_b = values.value(
+            self.key_b, "b", pair.record_b, self.attr_b, self._derive
+        )
+        if tokens_a is None or tokens_b is None:
+            return 0.0
+        return self.sim.score_tokens(tokens_a, tokens_b, self.lookup)
+
+    def scores(self, caches, pairs, n: int) -> np.ndarray:
         return np.fromiter(
             (self.score_pair(caches, pair) for pair in pairs),
             dtype=np.float64,
@@ -442,6 +526,7 @@ class FeatureKernels:
     def __init__(self, cache: Optional[TokenCache] = None, use_bounds: bool = False):
         self.cache = cache if cache is not None else TokenCache()
         self.values = DerivedValueCache()
+        self.token_pairs = TokenPairMemo()
         self.use_bounds = use_bounds
         #: predicate pid -> number of evaluations decided from bounds alone
         self.bound_skips: Dict[str, int] = {}
@@ -450,7 +535,8 @@ class FeatureKernels:
         self._unsupported: Dict[str, str] = {}
         self._unsupported_counted: set = set()
         self._unsupported_drained: set = set()
-        self._reported = {"hits": 0, "misses": 0, "skips": 0}
+        #: counter name -> total already folded into a registry
+        self._reported: Dict[str, int] = {}
 
     @property
     def _caches(self) -> tuple:
@@ -504,8 +590,28 @@ class FeatureKernels:
                 return None, (
                     f"{type(sim).__name__} overrides CorpusVectorSimilarity.score_vectors"
                 )
-            return _VectorPlan(feature, self.values), None
+            lookup = (
+                self._secondary_lookup(sim.secondary)
+                if isinstance(sim, SoftTfIdf)
+                else None
+            )
+            return _VectorPlan(feature, self.values, lookup), None
+        if isinstance(sim, MongeElkan):
+            if type(sim).compare is not MongeElkan.compare:
+                return None, f"{type(sim).__name__} overrides MongeElkan.compare"
+            if type(sim).score_tokens is not MongeElkan.score_tokens:
+                return None, f"{type(sim).__name__} overrides MongeElkan.score_tokens"
+            lookup = self._secondary_lookup(sim.secondary)
+            return _TokenListPlan(feature, self.values, lookup), None
         return None, f"{type(sim).__name__} has no kernel family (per-pair scalar only)"
+
+    def _secondary_lookup(self, secondary):
+        """``secondary.compare`` through the token-pair memo — bare for a
+        corpus-backed secondary, whose scores ``bind_corpus`` can change
+        under a memo keyed by tokens alone."""
+        if secondary.needs_corpus:
+            return secondary.compare
+        return self.token_pairs.lookup(secondary)
 
     def _plan(self, feature):
         plan = self._plans.get(feature.name, False)
@@ -656,29 +762,32 @@ class FeatureKernels:
 
         Totals land as counters (``cache.hit``, ``cache.miss``,
         ``bound.skip``) incremented by the delta since the last report —
-        token and derived-value caches combined; per-column sizes and hit
-        counts land as gauges so the workbench can show the breakdown.
-        Each kernel-unsupported feature increments
+        token and derived-value caches combined — with the token-pair
+        memo's own ``token_memo.hit``/``token_memo.miss`` next to them;
+        per-column (and per-secondary-measure) sizes and hit counts land
+        as gauges so the workbench can show the breakdown.  Each
+        kernel-unsupported feature increments
         ``engine.kernel_unsupported`` exactly once per kernels instance.
         """
-        hits = self.cache.total_hits + self.values.total_hits
-        misses = self.cache.total_misses + self.values.total_misses
-        skips = self.total_bound_skips
-        reported = self._reported
-        if hits - reported["hits"]:
-            registry.counter("cache.hit").inc(hits - reported["hits"])
-        if misses - reported["misses"]:
-            registry.counter("cache.miss").inc(misses - reported["misses"])
-        if skips - reported["skips"]:
-            registry.counter("bound.skip").inc(skips - reported["skips"])
-        reported.update(hits=hits, misses=misses, skips=skips)
+        current = {
+            "cache.hit": self.cache.total_hits + self.values.total_hits,
+            "cache.miss": self.cache.total_misses + self.values.total_misses,
+            "bound.skip": self.total_bound_skips,
+            "token_memo.hit": self.token_pairs.total_hits,
+            "token_memo.miss": self.token_pairs.total_misses,
+        }
+        for counter, total in current.items():
+            fresh = total - self._reported.get(counter, 0)
+            if fresh:
+                registry.counter(counter).inc(fresh)
+        self._reported = current
         fresh_unsupported = set(self._unsupported) - self._unsupported_counted
         if fresh_unsupported:
             registry.counter("engine.kernel_unsupported").inc(
                 len(fresh_unsupported)
             )
             self._unsupported_counted |= fresh_unsupported
-        for row in self.cache.stats() + self.values.stats():
+        for row in self.cache.stats() + self.values.stats() + self.token_pairs.stats():
             label = row["label"]
             registry.gauge(f"cache.entries.{label}").set(row["entries"])
             registry.gauge(f"cache.hits.{label}").set(row["hits"])

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..data.pairs import CandidateSet, PairId
 from ..errors import ReproError
+from ..kernels import FeatureKernels
 from .feature_space import FeatureSpace
 
 
@@ -73,12 +74,16 @@ def _hardest_negatives(
 def compute_matrix(
     space: FeatureSpace, candidates: CandidateSet, indices: Sequence[int]
 ) -> np.ndarray:
-    """Dense feature matrix for the selected pair indices."""
+    """Dense feature matrix for the selected pair indices.
+
+    Columns are computed through one :class:`~repro.kernels.FeatureKernels`,
+    so records are tokenized once and token pairs compared once across
+    the whole space; every value equals ``feature.compute`` bit for bit.
+    """
+    kernels = FeatureKernels()
     matrix = np.empty((len(indices), len(space)), dtype=np.float64)
-    for row, index in enumerate(indices):
-        pair = candidates[index]
-        for column, feature in enumerate(space):
-            matrix[row, column] = feature.compute(pair.record_a, pair.record_b)
+    for column, feature in enumerate(space):
+        matrix[:, column] = kernels.compute_rows(feature, candidates, indices)
     return matrix
 
 

@@ -46,8 +46,9 @@ def coerce(value: object) -> Optional[str]:
 class SimilarityFunction(ABC):
     """A symmetric similarity measure with scores in ``[0, 1]``.
 
-    Instances are immutable and hashable on their :attr:`name`, which makes
-    them usable as dictionary keys in feature registries and memo tables.
+    Instances are immutable and hashable on their :meth:`cache_key`, which
+    makes them usable as dictionary keys in feature registries and memo
+    tables.
     """
 
     #: Registry/display name, e.g. ``"jaro_winkler"``.  Must be unique among
@@ -75,11 +76,24 @@ class SimilarityFunction(ABC):
     def bind_corpus(self, corpus) -> None:
         """Attach corpus statistics (no-op for corpus-free measures)."""
 
+    def cache_key(self) -> tuple:
+        """Hashable identity of this measure's *behaviour*.
+
+        Two measures with the same cache key score every pair
+        identically, so cached scores may be shared between them (the
+        kernel layer's token-pair memo is keyed on it).  ``name`` alone
+        is not enough when configuration that changes the output is not
+        part of the name; subclasses append such configuration here.
+        """
+        return (type(self).__name__, self.name)
+
     def __hash__(self) -> int:
-        return hash((type(self), self.name))
+        return hash(self.cache_key())
 
     def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.name == getattr(other, "name", None)
+        return (
+            type(self) is type(other) and self.cache_key() == other.cache_key()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -117,6 +117,9 @@ class JaroWinkler(NormalizedStringSimilarity):
         self.prefix_weight = prefix_weight
         self.name = "jaro_winkler"
 
+    def cache_key(self) -> tuple:
+        return super().cache_key() + (self.prefix_weight,)
+
     def score_norms(self, x: str, y: str) -> float:
         return jaro_winkler_similarity(x, y, self.prefix_weight)
 

@@ -11,7 +11,7 @@ real statistics via :meth:`repro.learning.feature_space.FeatureSpace.bind_corpor
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .base import SimilarityFunction
 from .corpus import Corpus
@@ -57,14 +57,20 @@ class CorpusVectorSimilarity(SimilarityFunction):
         vector_x: Dict[str, float],
         empty_y: bool,
         vector_y: Dict[str, float],
+        lookup: Optional[Callable[[str, str], float]] = None,
     ) -> float:
         """Score two pre-weighted vectors under the package conventions:
-        both values empty -> 1.0, either vector degenerate -> 0.0."""
+        both values empty -> 1.0, either vector degenerate -> 0.0.
+
+        ``lookup(x, y)`` stands in for the secondary token measure of a
+        measure that has one (Soft TF-IDF); ``None`` means the measure's
+        own.  The kernel layer passes its token-pair memo here.
+        """
         if empty_x and empty_y:
             return 1.0
         if not vector_x or not vector_y:
             return 0.0
-        return self.from_vectors(vector_x, vector_y)
+        return self.from_vectors(vector_x, vector_y, lookup)
 
     def compare(self, x: str, y: str) -> float:
         empty_x, vector_x = self.weight_vector(x)
@@ -73,9 +79,13 @@ class CorpusVectorSimilarity(SimilarityFunction):
 
     @abstractmethod
     def from_vectors(
-        self, vector_x: Dict[str, float], vector_y: Dict[str, float]
+        self,
+        vector_x: Dict[str, float],
+        vector_y: Dict[str, float],
+        lookup: Optional[Callable[[str, str], float]] = None,
     ) -> float:
-        """Combine two non-degenerate weighted vectors."""
+        """Combine two non-degenerate weighted vectors (``lookup`` as in
+        :meth:`score_vectors`; measures without a secondary ignore it)."""
 
 
 class TfIdf(CorpusVectorSimilarity):
@@ -88,7 +98,10 @@ class TfIdf(CorpusVectorSimilarity):
         self.name = f"tfidf_{self.tokenizer.name}"
 
     def from_vectors(
-        self, vector_x: Dict[str, float], vector_y: Dict[str, float]
+        self,
+        vector_x: Dict[str, float],
+        vector_y: Dict[str, float],
+        lookup: Optional[Callable[[str, str], float]] = None,
     ) -> float:
         if len(vector_y) < len(vector_x):
             vector_x, vector_y = vector_y, vector_x
@@ -117,6 +130,9 @@ class SoftTfIdf(CorpusVectorSimilarity):
     This is the most expensive feature in the paper's Table 3 (66 µs on
     title/title) because every token pair pays a Jaro-Winkler comparison —
     reproducing that cost profile matters for the ordering experiments.
+    The scalar path (:meth:`compare`) keeps paying it; the kernel layer
+    passes its token-pair memo as ``lookup`` to :meth:`from_vectors`, so
+    it compares each ordered token pair once.
     """
 
     cost_tier = 9
@@ -135,7 +151,7 @@ class SoftTfIdf(CorpusVectorSimilarity):
         self.threshold = threshold
         self.name = f"soft_tfidf_{self.tokenizer.name}"
 
-    def _directed(self, vector_x: dict, vector_y: dict) -> float:
+    def _directed(self, vector_x: dict, vector_y: dict, lookup) -> float:
         total = 0.0
         for token_x, weight_x in vector_x.items():
             best_score = 0.0
@@ -145,7 +161,7 @@ class SoftTfIdf(CorpusVectorSimilarity):
                 best_score, best_weight = 1.0, exact
             else:
                 for token_y, weight_y in vector_y.items():
-                    score = self.secondary.compare(token_x, token_y)
+                    score = lookup(token_x, token_y)
                     if score >= self.threshold and score > best_score:
                         best_score, best_weight = score, weight_y
             if best_score > 0.0:
@@ -153,10 +169,15 @@ class SoftTfIdf(CorpusVectorSimilarity):
         return total
 
     def from_vectors(
-        self, vector_x: Dict[str, float], vector_y: Dict[str, float]
+        self,
+        vector_x: Dict[str, float],
+        vector_y: Dict[str, float],
+        lookup: Optional[Callable[[str, str], float]] = None,
     ) -> float:
-        forward = self._directed(vector_x, vector_y)
-        backward = self._directed(vector_y, vector_x)
+        if lookup is None:
+            lookup = self.secondary.compare
+        forward = self._directed(vector_x, vector_y, lookup)
+        backward = self._directed(vector_y, vector_x, lookup)
         # Directed scores are already normalized by the L2 vectors; clip to
         # guard against floating-point drift just above 1.0.
         return min(1.0, (forward + backward) / 2.0)

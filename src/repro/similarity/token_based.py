@@ -49,6 +49,9 @@ class TokenSetSimilarity(SimilarityFunction):
         self.tokenizer = tokenizer or WhitespaceTokenizer()
         self.name = f"{base_name}_{self.tokenizer.name}"
 
+    def cache_key(self) -> tuple:
+        return super().cache_key() + (self.tokenizer.cache_key(),)
+
     def compare(self, x: str, y: str) -> float:
         return self.score_sets(
             self.tokenizer.tokenize_set(x), self.tokenizer.tokenize_set(y)
@@ -190,6 +193,13 @@ class MongeElkan(SimilarityFunction):
     raw measure is asymmetric; we symmetrize by averaging both directions,
     preserving the package-wide symmetry contract.  The secondary measure
     defaults to Jaro-Winkler, the standard choice.
+
+    The scoring is written once, in :meth:`score_tokens`, over two token
+    lists and a ``lookup(x, y)`` standing in for the secondary measure:
+    :meth:`compare` passes ``self.secondary.compare``, while the kernel
+    layer (:mod:`repro.kernels`) passes cached token lists and its
+    token-pair memo, which returns the very floats ``compare`` would.
+    Subclasses must not override :meth:`compare` or :meth:`score_tokens`.
     """
 
     cost_tier = 8
@@ -206,19 +216,33 @@ class MongeElkan(SimilarityFunction):
         self.tokenizer = tokenizer or WhitespaceTokenizer()
         self.name = f"monge_elkan_{self.secondary.name}"
 
-    def _directed(self, tokens_x: list, tokens_y: list) -> float:
+    def cache_key(self) -> tuple:
+        return super().cache_key() + (
+            self.tokenizer.cache_key(),
+            self.secondary.cache_key(),
+        )
+
+    @staticmethod
+    def _directed(tokens_x, tokens_y, lookup) -> float:
         total = 0.0
         for tx in tokens_x:
-            total += max(self.secondary.compare(tx, ty) for ty in tokens_y)
+            total += max(lookup(tx, ty) for ty in tokens_y)
         return total / len(tokens_x)
 
-    def compare(self, x: str, y: str) -> float:
-        tokens_x = self.tokenizer.tokenize(x)
-        tokens_y = self.tokenizer.tokenize(y)
+    def score_tokens(self, tokens_x, tokens_y, lookup) -> float:
+        """Score two token lists; ``lookup(x, y)`` is the secondary score
+        of two tokens.  Both empty scores 1.0, exactly one empty 0.0."""
         if not tokens_x and not tokens_y:
             return 1.0
         if not tokens_x or not tokens_y:
             return 0.0
-        forward = self._directed(tokens_x, tokens_y)
-        backward = self._directed(tokens_y, tokens_x)
+        forward = self._directed(tokens_x, tokens_y, lookup)
+        backward = self._directed(tokens_y, tokens_x, lookup)
         return (forward + backward) / 2.0
+
+    def compare(self, x: str, y: str) -> float:
+        return self.score_tokens(
+            self.tokenizer.tokenize(x),
+            self.tokenizer.tokenize(y),
+            self.secondary.compare,
+        )

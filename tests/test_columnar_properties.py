@@ -42,21 +42,23 @@ from repro.similarity import (
     JaroWinkler,
     Levenshtein,
     MongeElkan,
+    NeedlemanWunsch,
     Trigram,
 )
 
 ATTRIBUTES = ("name", "code")
 
-#: every kernel family (token, exact, edit-distance, numeric) deliberately
-#: mixed with monge_elkan — which has no kernel family — so random
-#: functions routinely produce partial-fallback plans.  The numeric
-#: feature runs over mostly unparsable text, exercising the parse-failure
-#: (None -> 0.0) convention in both engines.
+#: every kernel family (token, exact, edit-distance, numeric, Monge-Elkan)
+#: deliberately mixed with needleman_wunsch — which has no kernel family —
+#: so random functions routinely produce partial-fallback plans.  The
+#: numeric feature runs over mostly unparsable text, exercising the
+#: parse-failure (None -> 0.0) convention in both engines.
 FEATURE_POOL = [
     Feature(Jaccard(), "name", "name"),
     Feature(ExactMatch(), "name", "name"),
     Feature(JaroWinkler(), "name", "name"),
     Feature(MongeElkan(), "name", "name"),
+    Feature(NeedlemanWunsch(), "name", "name"),
     Feature(Trigram(), "code", "code"),
     Feature(ExactMatch(), "code", "code"),
     Feature(Levenshtein(), "code", "code"),
@@ -69,6 +71,7 @@ SUPPORTED_POOL = [
     Feature(Jaccard(), "name", "name"),
     Feature(ExactMatch(), "name", "name"),
     Feature(JaroWinkler(), "name", "name"),
+    Feature(MongeElkan(), "name", "name"),
     Feature(Trigram(), "code", "code"),
     Feature(Levenshtein(), "code", "code"),
     Feature(AbsoluteDifference(scale=5.0), "code", "code"),

@@ -56,19 +56,19 @@ R1: jaccard_ws(name, name) >= 0.3 AND trigram(zip, zip) >= 0.6
 R2: trigram(name, name) >= 0.8
 """
 
-#: monge_elkan has no kernel family — its steps take the per-step scalar
-#: fallback.  The cost model still picks columnar for this plan (the
+#: needleman_wunsch has no kernel family — its steps take the per-step
+#: scalar fallback.  The cost model still picks columnar for this plan (the
 #: supported jaccard step carries enough of the expected work); an
 #: all-unsupported plan is what resolves scalar (see SCALAR_ONLY_DSL).
 MIXED_DSL = """
 R1: jaccard_ws(name, name) >= 0.3
-R2: monge_elkan(name, name) >= 0.9
+R2: needleman_wunsch(name, name) >= 0.9
 """
 
 #: every step unsupported — columnar would be pure fallback overhead, so
 #: the cost model resolves scalar.
 SCALAR_ONLY_DSL = """
-R1: monge_elkan(name, name) >= 0.9
+R1: needleman_wunsch(name, name) >= 0.9
 """
 
 
@@ -396,12 +396,12 @@ class TestIncrementalColumnar:
 # Plan lifetime: one plan per function version, patched per edit
 # ----------------------------------------------------------------------
 
-#: token, edit-distance and monge_elkan (fallback) features over three
+#: token, edit-distance and needleman_wunsch (fallback) features over three
 #: rules, so every edit kind has a target and plans are mixed.
 LIFETIME_DSL = """
 R1: jaccard_ws(name, name) >= 0.3 AND trigram(zip, zip) >= 0.6
 R2: trigram(name, name) >= 0.8
-R3: monge_elkan(name, name) >= 0.9 AND levenshtein(street, street) >= 0.5
+R3: needleman_wunsch(name, name) >= 0.9 AND levenshtein(street, street) >= 0.5
 """
 
 
@@ -652,7 +652,7 @@ class TestParallelTransport:
             run_token=990003,
         )
         outcome = run_chunk(task)
-        # mixed plan: cost model picks columnar, monge_elkan falls back
+        # mixed plan: cost model picks columnar, needleman_wunsch falls back
         assert outcome.mask_evals > 0
         assert outcome.scalar_fallbacks > 0
         serial = DynamicMemoMatcher(

@@ -35,8 +35,11 @@ from repro.similarity import (
     Cosine,
     Dice,
     Jaccard,
+    JaroWinkler,
     MongeElkan,
+    NeedlemanWunsch,
     OverlapCoefficient,
+    SoftTfIdf,
     Trigram,
     Tversky,
 )
@@ -212,9 +215,13 @@ class TestEligibility:
         kernels = FeatureKernels()
         assert kernels.supports(Feature(sim, "text", "text"))
 
-    def test_monge_elkan_not_supported(self):
+    def test_monge_elkan_supported(self):
         kernels = FeatureKernels()
-        assert not kernels.supports(Feature(MongeElkan(), "text", "text"))
+        assert kernels.supports(Feature(MongeElkan(), "text", "text"))
+
+    def test_needleman_wunsch_not_supported(self):
+        kernels = FeatureKernels()
+        assert not kernels.supports(Feature(NeedlemanWunsch(), "text", "text"))
 
     def test_compare_override_disables_the_kernel_path(self):
         class ForkedJaccard(Jaccard):
@@ -226,7 +233,7 @@ class TestEligibility:
 
     def test_unsupported_feature_falls_back_to_compute(self):
         kernels = FeatureKernels()
-        feature = Feature(MongeElkan(), "text", "text")
+        feature = Feature(NeedlemanWunsch(), "text", "text")
         candidates = _cross_candidates()
         for pair in candidates:
             assert kernels.compute(feature, pair) == feature.compute(
@@ -291,6 +298,186 @@ class TestValueIdentity:
         # batched columns, so label equality plus the column bit-identity
         # test above pins the memo contents too.
         assert seed.stats.memo_hits == batched.stats.memo_hits
+
+
+# ----------------------------------------------------------------------
+# Token-pair measures: Monge-Elkan and Soft TF-IDF through the memo
+# ----------------------------------------------------------------------
+
+#: Monge-Elkan and Soft TF-IDF with default and non-default secondaries,
+#: tokenizers and thresholds (0.6 lets near tokens such as x1/x2 count).
+TOKEN_PAIR_FEATURES = [
+    Feature(MongeElkan(), "text", "text"),
+    Feature(
+        MongeElkan(JaroWinkler(0.25), QgramTokenizer(q=2)),
+        "text",
+        "text",
+        name="me_qg2_w025",
+    ),
+    Feature(SoftTfIdf(), "text", "text"),
+    Feature(SoftTfIdf(threshold=0.6), "text", "text", name="soft_06"),
+]
+
+
+class TestTokenPairMeasures:
+    @pytest.mark.parametrize(
+        "feature", TOKEN_PAIR_FEATURES, ids=lambda feature: feature.name
+    )
+    def test_compute_column_and_rows_are_bit_identical(self, feature):
+        kernels = FeatureKernels()
+        candidates = _cross_candidates()
+        reference = np.array(
+            [feature.compute(pair.record_a, pair.record_b) for pair in candidates],
+            dtype=np.float64,
+        )
+        assert kernels.supports(feature)
+        computed = np.array(
+            [kernels.compute(feature, pair) for pair in candidates],
+            dtype=np.float64,
+        )
+        assert computed.tobytes() == reference.tobytes()
+        column = kernels.compute_column(feature, candidates)
+        assert column.tobytes() == reference.tobytes()
+        rows = np.array([7, 0, 35, 7, 12], dtype=np.int64)
+        subset = kernels.compute_rows(feature, candidates, rows)
+        assert subset.tobytes() == reference[rows].tobytes()
+        assert kernels.token_pairs.total_hits > 0
+
+    def test_monge_elkan_and_soft_tfidf_share_one_bucket(self):
+        kernels = FeatureKernels()
+        candidates = _cross_candidates()
+        kernels.compute_column(Feature(MongeElkan(), "text", "text"), candidates)
+        entries = len(kernels.token_pairs)
+        kernels.compute_column(Feature(SoftTfIdf(), "text", "text"), candidates)
+        assert [row["label"] for row in kernels.token_pairs.stats()] == [
+            "pairs:jaro_winkler"
+        ]
+        # Monge-Elkan compared every ordered token pair already.
+        assert len(kernels.token_pairs) == entries
+
+    @pytest.mark.parametrize(
+        "secondaries",
+        [
+            (JaroWinkler(0.1), JaroWinkler(0.25)),
+            (Jaccard(QgramTokenizer(q=2)), Jaccard(QgramTokenizer(q=2, padded=False))),
+        ],
+        ids=["jaro_winkler_prefix_weight", "jaccard_qgram_padding"],
+    )
+    def test_equally_named_secondaries_do_not_share_memo_entries(self, secondaries):
+        table_a = Table("A", ("text",))
+        table_a.add(Record("a0", {"text": "jon smith"}))
+        table_b = Table("B", ("text",))
+        table_b.add(Record("b0", {"text": "john smyth"}))
+        candidates = CandidateSet.from_id_pairs(table_a, table_b, [("a0", "b0")])
+        first, second = secondaries
+        assert first.name == second.name
+        light = Feature(MongeElkan(first), "text", "text", name="me_first")
+        heavy = Feature(MongeElkan(second), "text", "text", name="me_second")
+        kernels = FeatureKernels()
+        pair = candidates[0]
+        got = [kernels.compute(feature, pair) for feature in (light, heavy)]
+        want = [
+            feature.compute(pair.record_a, pair.record_b) for feature in (light, heavy)
+        ]
+        assert want[0] != want[1]
+        assert got == want
+        stats = kernels.token_pairs.stats()
+        assert len(stats) == 2
+        # 2 x 2 tokens, compared in both directions: 8 ordered pairs each
+        assert [row["entries"] for row in stats] == [8, 8]
+        assert len({row["label"] for row in stats}) == 2
+
+    def test_corpus_backed_secondary_bypasses_the_memo(self):
+        from repro.similarity import TfIdf
+
+        feature = Feature(MongeElkan(TfIdf()), "text", "text")
+        kernels = FeatureKernels()
+        candidates = _cross_candidates()
+        column = kernels.compute_column(feature, candidates)
+        reference = np.array(
+            [feature.compute(pair.record_a, pair.record_b) for pair in candidates],
+            dtype=np.float64,
+        )
+        assert column.tobytes() == reference.tobytes()
+        assert len(kernels.token_pairs) == 0
+
+    def test_report_metrics_folds_memo_counters(self):
+        from repro.observability.metrics import MetricsRegistry
+
+        kernels = FeatureKernels()
+        candidates = _cross_candidates()
+        kernels.compute_column(Feature(MongeElkan(), "text", "text"), candidates)
+        registry = MetricsRegistry()
+        kernels.report_metrics(registry)
+        assert registry.value("token_memo.miss") == len(kernels.token_pairs)
+        assert registry.value("token_memo.hit") == kernels.token_pairs.total_hits > 0
+        assert registry.value("cache.entries.pairs:jaro_winkler") == len(
+            kernels.token_pairs
+        )
+        kernels.report_metrics(registry)  # no new work: no double counting
+        assert registry.value("token_memo.miss") == len(kernels.token_pairs)
+
+
+#: near-miss tokens (jon/john, smith/smyth, x1/x2) so the secondary
+#: measure's scores, not just exact token equality, decide the values.
+memo_token = st.sampled_from(["jon", "john", "smith", "smyth", "x1", "x2", "Jon"])
+memo_value = st.one_of(
+    st.none(), st.lists(memo_token, min_size=0, max_size=4).map(" ".join)
+)
+
+
+@given(
+    values_a=st.lists(memo_value, min_size=1, max_size=4),
+    values_b=st.lists(memo_value, min_size=1, max_size=4),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=len(TOKEN_PAIR_FEATURES) - 1),
+            st.sampled_from(["compute", "column", "rows"]),
+            st.lists(st.integers(min_value=0, max_value=15), max_size=6),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_memo_never_changes_a_value(values_a, values_b, steps):
+    """Features sharing one kernels object, in any interleaving, read
+    exactly what a fresh ``feature.compute`` returns."""
+    table_a = Table("A", ("text",))
+    for index, value in enumerate(values_a):
+        table_a.add(Record(f"a{index}", {"text": value}))
+    table_b = Table("B", ("text",))
+    for index, value in enumerate(values_b):
+        table_b.add(Record(f"b{index}", {"text": value}))
+    candidates = CandidateSet.from_id_pairs(
+        table_a,
+        table_b,
+        [(a.record_id, b.record_id) for a in table_a for b in table_b],
+    )
+    kernels = FeatureKernels()
+    for feature_index, kind, raw_rows in steps:
+        feature = TOKEN_PAIR_FEATURES[feature_index]
+        rows = np.array(
+            [row % len(candidates) for row in raw_rows], dtype=np.int64
+        )
+        if kind == "column":
+            rows = np.arange(len(candidates), dtype=np.int64)
+            got = kernels.compute_column(feature, candidates)
+        elif kind == "rows":
+            got = kernels.compute_rows(feature, candidates, rows)
+        else:
+            got = np.array(
+                [kernels.compute(feature, candidates[int(row)]) for row in rows],
+                dtype=np.float64,
+            )
+        want = np.array(
+            [
+                feature.compute(candidates[int(row)].record_a, candidates[int(row)].record_b)
+                for row in rows
+            ],
+            dtype=np.float64,
+        )
+        assert got.tobytes() == want.tobytes(), (feature.name, kind)
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +938,7 @@ class TestAccounting:
 
         kernels = FeatureKernels()
         supported = Feature(Jaccard(), "text", "text")
-        unsupported = Feature(MongeElkan(), "text", "text")
+        unsupported = Feature(NeedlemanWunsch(), "text", "text")
         assert kernels.supports(supported)
         assert not kernels.supports(unsupported)
         registry = MetricsRegistry()
@@ -764,7 +951,7 @@ class TestAccounting:
 
     def test_drain_unsupported_is_one_shot(self):
         kernels = FeatureKernels()
-        unsupported = Feature(MongeElkan(), "text", "text")
+        unsupported = Feature(NeedlemanWunsch(), "text", "text")
         kernels.supports(unsupported)
         drained = kernels.drain_unsupported()
         assert [name for name, _ in drained] == [unsupported.name]
@@ -774,7 +961,7 @@ class TestAccounting:
     def test_session_traces_unsupported_features(self):
         function = parse_function(
             "R1: jaccard_ws(text, text) >= 0.3 AND "
-            "monge_elkan(text, text) >= 0.9"
+            "needleman_wunsch(text, text) >= 0.9"
         )
         observability = Observability()
         session = DebugSession(
@@ -787,7 +974,7 @@ class TestAccounting:
             if record.name == "kernel.unsupported"
         ]
         assert len(spans) == 1
-        assert "monge_elkan" in spans[0].attrs["feature"]
+        assert "needleman_wunsch" in spans[0].attrs["feature"]
         assert "kernel family" in spans[0].attrs["reason"]
         session.run()  # one-shot: a second run adds no new fact
         assert (

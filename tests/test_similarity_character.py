@@ -160,6 +160,17 @@ class TestJaroWinkler:
             "DWAYNE", "DUANE"
         )
 
+    def test_prefix_weight_is_part_of_identity(self):
+        # Equal names, different scores: equality, hashing and cache keys
+        # must tell the two apart, or a cache keyed on them mixes them.
+        assert JaroWinkler(0.1)("jon", "john") != JaroWinkler(0.25)("jon", "john")
+        assert JaroWinkler(0.1) != JaroWinkler(0.25)
+        assert len({JaroWinkler(0.1), JaroWinkler(0.25)}) == 2
+        assert JaroWinkler(0.1).cache_key() != JaroWinkler(0.25).cache_key()
+        assert JaroWinkler(0.25) == JaroWinkler(0.25)
+        assert hash(JaroWinkler(0.25)) == hash(JaroWinkler(0.25))
+        assert Jaro().cache_key() == ("Jaro", "jaro")
+
     def test_invalid_prefix_weight_rejected(self):
         with pytest.raises(ValueError):
             JaroWinkler(prefix_weight=0.5)

@@ -7,13 +7,20 @@ Every registered measure must satisfy (module docstring of
 * symmetry,
 * ``None`` handling (0.0 on any missing side),
 * identity (``sim(x, x) == 1``) on inputs the measure is defined for.
+
+It also pins the bit-parallel ``levenshtein_distance`` to the textbook
+dynamic program, kept here as the oracle.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.similarity import default_instances, registered_names
+from repro.similarity import (
+    default_instances,
+    levenshtein_distance,
+    registered_names,
+)
 
 ALL_MEASURES = {name: instance for name, instance in
                 zip(registered_names(), default_instances())}
@@ -78,3 +85,35 @@ def test_none_handling(name):
     assert measure(None, "abc") == 0.0
     assert measure("abc", None) == 0.0
     assert measure(None, None) == 0.0
+
+
+def dp_oracle(x: str, y: str) -> int:
+    """Textbook O(len(x) * len(y)) edit-distance dynamic program."""
+    previous = list(range(len(y) + 1))
+    for i, cx in enumerate(x, start=1):
+        current = [i]
+        for j, cy in enumerate(y, start=1):
+            current.append(
+                min(
+                    previous[j - 1] + (cx != cy),
+                    current[j - 1] + 1,
+                    previous[j] + 1,
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+#: small alphabets make matches (and so every delta case) common; the
+#: non-ASCII members cover multi-byte and astral code points.
+EDIT_TEXT = st.text(alphabet="abcé€😀 ", min_size=0, max_size=200) | st.text(
+    min_size=0, max_size=200
+)
+
+
+@given(x=EDIT_TEXT, y=EDIT_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_levenshtein_matches_dp_oracle(x, y):
+    expected = dp_oracle(x, y)
+    assert levenshtein_distance(x, y) == expected
+    assert levenshtein_distance(y, x) == expected
