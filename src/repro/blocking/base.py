@@ -74,11 +74,20 @@ class Blocker(ABC):
 
     def block(self, table_a: Table, table_b: Table) -> CandidateSet:
         """Return the candidate set for ``table_a`` x ``table_b``."""
-        candidates = CandidateSet(table_a, table_b)
-        for a_id, b_id in self._pair_ids(table_a, table_b):
-            candidates.add(a_id, b_id)
-        self._snapshot(candidates.id_pairs())
-        return candidates
+        return CandidateSet.from_id_pairs(
+            table_a, table_b, self.index_pairs(table_a, table_b)
+        )
+
+    def index_pairs(self, table_a: Table, table_b: Table) -> List[PairId]:
+        """Block without building a candidate set: rebuild the delta index
+        over ``table_a`` x ``table_b`` and return the pairs in order.
+
+        Callers that hold their candidates already (a restored session, a
+        rolled-back ingest) only need the index.
+        """
+        id_pairs = list(self._pair_ids(table_a, table_b))
+        self._snapshot(id_pairs)
+        return id_pairs
 
     @abstractmethod
     def _pair_ids(

@@ -323,6 +323,25 @@ class ArrayMemo(FeatureMemo):
             for pair_index in np.flatnonzero(valid):
                 yield int(pair_index), name, float(self._values[pair_index, column])
 
+    def export_columns(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """The memo as whole arrays: column names, the ``pairs x columns``
+        validity mask, and the valid values in column-major order."""
+        width = len(self._columns)
+        valid = self._valid[:, :width]
+        return list(self._columns), valid, self._values[:, :width].T[valid.T]
+
+    @classmethod
+    def from_columns(
+        cls, n_pairs: int, names: List[str], valid: np.ndarray, values: np.ndarray
+    ) -> "ArrayMemo":
+        """Inverse of :meth:`export_columns`: one masked assignment."""
+        memo = cls(n_pairs, names)
+        width = len(names)
+        memo._valid[:, :width] = valid
+        memo._values[:, :width].T[valid.T] = values
+        memo._entries = int(values.size)
+        return memo
+
     def __len__(self) -> int:
         return self._entries
 
@@ -410,6 +429,30 @@ class HashMemo(FeatureMemo):
     def items(self):
         for (pair_index, name), value in self._store.items():
             yield pair_index, name, value
+
+    def export_columns(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
+        """:meth:`ArrayMemo.export_columns`'s arrays, by a walk over the
+        store (columns in first-seen order)."""
+        columns: Dict[str, int] = {}
+        for _, name in self._store:
+            columns.setdefault(name, len(columns))
+        valid = np.zeros((self.n_pairs, len(columns)), dtype=bool)
+        dense = np.zeros((self.n_pairs, len(columns)), dtype=np.float64)
+        for (pair_index, name), value in self._store.items():
+            valid[pair_index, columns[name]] = True
+            dense[pair_index, columns[name]] = value
+        return list(columns), valid, dense.T[valid.T]
+
+    @classmethod
+    def from_columns(
+        cls, n_pairs: int, names: List[str], valid: np.ndarray, values: np.ndarray
+    ) -> "HashMemo":
+        """Inverse of :meth:`export_columns`."""
+        memo = cls(n_pairs, names)
+        columns, rows = np.nonzero(valid.T)
+        for row, column, value in zip(rows.tolist(), columns.tolist(), values.tolist()):
+            memo.put(row, names[column], value)
+        return memo
 
     def __len__(self) -> int:
         return len(self._store)

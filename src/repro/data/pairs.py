@@ -115,6 +115,36 @@ class CandidateSet:
             candidates.add(a_id, b_id)
         return candidates
 
+    @classmethod
+    def from_positions(
+        cls,
+        table_a: Table,
+        table_b: Table,
+        positions_a: np.ndarray,
+        positions_b: np.ndarray,
+    ) -> "CandidateSet":
+        """The pairs ``(table_a[i], table_b[j])`` for each ``i, j`` of the
+        two record-position arrays, in that order (a checkpoint's form of
+        the candidate order).  Rejects out-of-range positions and
+        duplicate pairs, as :meth:`add` does."""
+        for positions, table in ((positions_a, table_a), (positions_b, table_b)):
+            if len(positions) and not 0 <= positions.min() <= positions.max() < len(table):
+                raise BlockingError(f"record position out of range for {table.name!r}")
+        records_a, records_b = table_a.snapshot(), table_b.snapshot()
+        candidates = cls(table_a, table_b)
+        pairs = candidates._pairs
+        rows_a, rows_b = candidates._rows["a"], candidates._rows["b"]
+        for index, (i, j) in enumerate(zip(positions_a.tolist(), positions_b.tolist())):
+            record_a, record_b = records_a[i], records_b[j]
+            a_id, b_id = record_a.record_id, record_b.record_id
+            partners = rows_a.setdefault(a_id, {})
+            if b_id in partners:
+                raise BlockingError(f"duplicate candidate pair {(a_id, b_id)}")
+            partners[b_id] = index
+            rows_b.setdefault(b_id, {})[a_id] = index
+            pairs.append(CandidatePair(index, record_a, record_b))
+        return candidates
+
     def add(self, a_id: str, b_id: str) -> CandidatePair:
         """Append the pair ``(a_id, b_id)``; both ids must resolve."""
         if b_id in self._rows["a"].get(a_id, ()):

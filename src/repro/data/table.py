@@ -174,6 +174,10 @@ class Table:
                 f"no record {record_id!r} in table {self.name!r}"
             ) from None
 
+    def position(self, record_id: str) -> int:
+        """The record's position in table order (KeyError if absent)."""
+        return self._by_id[record_id]
+
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._by_id
 

@@ -73,6 +73,7 @@ class ServiceHandlers:
             "sessions": len(self.registry),
             "durable": self.registry.checkpoint_root is not None,
             "restore_failures": self.registry.restore_failures,
+            "restore_fallbacks": self.registry.restore_fallbacks,
             "sessions_state": self.registry.sessions_state(),
         }
         if self.telemetry is not None:
@@ -88,11 +89,11 @@ class ServiceHandlers:
         """Prometheus text exposition for ``GET /metrics``.
 
         Three layers in one page: service HTTP telemetry (rolling
-        windows), registry gauges (session count, restore failures,
-        per-session dirty/pending/seq — the same numbers ``/health``
-        reports), and every observable session's engine metrics snapshot
-        labeled ``{session="name"}`` with values identical to its JSON
-        ``GET /sessions/{name}/metrics`` snapshot.
+        windows), registry gauges (session count, restore failures and
+        fallbacks, per-session dirty/pending/seq — the same numbers
+        ``/health`` reports), and every observable session's engine
+        metrics snapshot labeled ``{session="name"}`` with values
+        identical to its JSON ``GET /sessions/{name}/metrics`` snapshot.
         """
         exposition = Exposition()
         if self.telemetry is not None:
@@ -103,6 +104,11 @@ class ServiceHandlers:
         exposition.add(
             "repro_registry_restore_failures",
             len(self.registry.restore_failures),
+            type="gauge",
+        )
+        exposition.add(
+            "repro_registry_restore_fallbacks",
+            len(self.registry.restore_fallbacks),
             type="gauge",
         )
         for state in self.registry.sessions_state():

@@ -15,20 +15,21 @@ StreamingSession` plus the concurrency state that makes it safe to share:
   checkpointer which sessions changed since their last save.
 
 The :class:`SessionRegistry` owns the name → session map (guarded by its
-own mutex — registry operations never hold any session's lock) and the
-checkpoint directory layout::
+own mutex — registry operations never hold any session's lock) and one
+checkpoint directory per session::
 
     <checkpoint_root>/<session_name>/   one repro.core.persistence
-                                        session checkpoint per session
+                                        session checkpoint (its generations
+                                        and CURRENT pointer) per session
 
-``restore_all`` walks that tree at startup, rebuilding each session's
-blocker from the spec stored in its checkpoint — this is how a restarted
-server resumes exactly where it stopped.
+Only :mod:`repro.core.persistence` knows what is inside.  ``restore_all``
+walks the root at startup, opens each session's verified generation,
+and rebuilds its blocker from the spec stored there — this is how a
+restarted server resumes exactly where it stopped.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import shutil
 import threading
@@ -36,7 +37,13 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from ..core.persistence import load_session, save_session
+from ..core.persistence import (
+    has_checkpoint,
+    load_session,
+    open_checkpoint,
+    save_session,
+)
+from ..errors import StateError
 from ..streaming.session import StreamingSession
 from .locks import ReadWriteLock
 from .protocol import ServiceError, build_blocker
@@ -94,6 +101,9 @@ class ManagedSession:
         self.dirty = True
         #: previous metrics snapshot (the /metrics diff-since-last basis).
         self.last_metrics_snapshot = None
+        #: serializes checkpoints of this session (each one publishes the
+        #: next generation of the same directory).
+        self.save_mutex = threading.Lock()
         self._pending = 0
         self._pending_mutex = threading.Lock()
 
@@ -171,6 +181,10 @@ class SessionRegistry:
         #: checkpoints restore_all() could not rehydrate (skipped, kept
         #: on disk): ``[{"name", "error"}, ...]``.
         self.restore_failures: List[dict] = []
+        #: sessions restore_all() restored from their previous generation
+        #: because the current one failed verification:
+        #: ``[{"name", "generation", "error"}, ...]``.
+        self.restore_fallbacks: List[dict] = []
         self._sessions: Dict[str, ManagedSession] = {}
         self._mutex = threading.Lock()
 
@@ -320,7 +334,8 @@ class SessionRegistry:
             managed.dirty = False
             return saved
 
-        saved = managed.read(_save)
+        with managed.save_mutex:
+            saved = managed.read(_save)
         return str(saved)
 
     def checkpoint_all(self, dirty_only: bool = True) -> List[str]:
@@ -352,14 +367,17 @@ class SessionRegistry:
         whole server (and every healthy session) from starting: failed
         entries are skipped, logged, and reported in
         :attr:`restore_failures` (``[{"name", "error"}, ...]``) — their
-        on-disk state is left untouched for inspection.
+        on-disk state is left untouched for inspection.  A session whose
+        current generation failed verification but whose previous one
+        restored is reported in :attr:`restore_fallbacks`.
         """
-        self.restore_failures: List[dict] = []
+        self.restore_failures = []
+        self.restore_fallbacks = []
         if self.checkpoint_root is None or not self.checkpoint_root.exists():
             return []
         restored = []
         for entry in sorted(self.checkpoint_root.iterdir()):
-            if not (entry / "session.json").exists():
+            if not has_checkpoint(entry):
                 continue
             try:
                 restored.append(self._restore_one(entry, resolver))
@@ -373,9 +391,12 @@ class SessionRegistry:
         return restored
 
     def _restore_one(self, entry: Path, resolver) -> str:
-        meta = json.loads((entry / "session.json").read_text("utf-8"))
+        checkpoint = open_checkpoint(entry)
+        meta = checkpoint.session
+        if meta is None:
+            raise StateError(f"{entry} holds a saved state, not a session")
         blocker = build_blocker(meta.get("blocker_spec"))
-        streaming = load_session(entry, blocker, resolver=resolver)
+        streaming = load_session(checkpoint, blocker, resolver=resolver)
         extra = meta.get("extra") or {}
         if extra.get("observability"):
             from ..observability import Observability
@@ -392,4 +413,12 @@ class SessionRegistry:
             entry.name, streaming, blocker_spec=meta.get("blocker_spec")
         )
         managed.dirty = False
+        if checkpoint.fallback is not None:
+            self.restore_fallbacks.append(
+                {
+                    "name": entry.name,
+                    "generation": checkpoint.generation,
+                    "error": checkpoint.fallback,
+                }
+            )
         return entry.name

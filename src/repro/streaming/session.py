@@ -41,6 +41,7 @@ built by blocking and matching the current tables from scratch.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
@@ -128,8 +129,10 @@ class StreamingSession:
         self.session = DebugSession(candidates, function, gold=gold, **session_kwargs)
         self.batch_history: List[BatchResult] = []
         self._restored_run_stats: Optional[MatchStats] = None
-        self._restored_batch_stats: Optional[MatchStats] = None
         self._restored_batches = 0
+        # total_batch_stats(), folded at each ingest: saves must not pay
+        # for the whole batch history.
+        self._batch_total = MatchStats()
 
     @classmethod
     def adopt(
@@ -145,17 +148,22 @@ class StreamingSession:
         """Wrap an existing (already run) session without re-matching.
 
         Re-blocks once to warm the blocker's delta index and verifies the
-        blocker reproduces the session's candidate set — adopting a
-        session under a *different* blocker would silently desynchronize
-        state from blocking, so that raises
+        blocker reproduces the session's candidate set pair for pair —
+        adopting a session under a *different* blocker would silently
+        desynchronize state from blocking, so that raises
         :class:`~repro.errors.StreamingError`.
         """
-        produced = set(blocker.block(table_a, table_b).id_pairs())
-        owned = set(session.candidates.id_pairs())
-        if produced != owned:
+        produced = set(blocker.index_pairs(table_a, table_b))
+        candidates = session.candidates
+        # Equal sizes and produced <= candidates: equal sets (a candidate
+        # set holds no duplicates).
+        if len(produced) != len(candidates) or not all(
+            map(candidates.__contains__, produced)
+        ):
+            differ = len(produced ^ set(candidates.id_pairs()))
             raise StreamingError(
                 f"blocker {blocker.name!r} does not reproduce the session's "
-                f"candidate set ({len(produced ^ owned)} pairs differ); "
+                f"candidate set ({differ} pairs differ); "
                 f"adopt with the blocker that built the session"
             )
         streaming = cls.__new__(cls)
@@ -168,8 +176,8 @@ class StreamingSession:
         streaming.session = session
         streaming.batch_history = []
         streaming._restored_run_stats = None
-        streaming._restored_batch_stats = None
         streaming._restored_batches = 0
+        streaming._batch_total = MatchStats()
         return streaming
 
     # ------------------------------------------------------------------
@@ -244,7 +252,7 @@ class StreamingSession:
             result = BatchResult(
                 stats, (), (), (), match_count=state.match_count()
             )
-            self.batch_history.append(result)
+            self._record(result)
             if observability is not None:
                 record_batch_result(observability.metrics, result)
             return result
@@ -342,7 +350,7 @@ class StreamingSession:
                 executed_parallel=parallel,
                 match_count=new_state.match_count(),
             )
-            self.batch_history.append(result)
+            self._record(result)
             if observability is not None:
                 record_batch_result(observability.metrics, result)
                 monitor = getattr(observability, "drift_monitor", None)
@@ -356,7 +364,7 @@ class StreamingSession:
         which a partial re-match may have cached from post-delta values."""
         self.table_a.restore(saved_a)
         self.table_b.restore(saved_b)
-        self.blocker.block(self.table_a, self.table_b)
+        self.blocker.index_pairs(self.table_a, self.table_b)
         kernels = self.session.kernels
         if kernels is not None:
             kernels.invalidate_records("a", touched_a)
@@ -487,8 +495,14 @@ class StreamingSession:
         restarts.  Called by :func:`repro.core.persistence.load_session`.
         """
         self._restored_run_stats = run_stats
-        self._restored_batch_stats = batch_stats
         self._restored_batches = batches
+        self._batch_total = batch_stats or MatchStats()
+        for result in self.batch_history:
+            self._batch_total = self._batch_total.merged_with(result.stats)
+
+    def _record(self, result: BatchResult) -> None:
+        self.batch_history.append(result)
+        self._batch_total = self._batch_total.merged_with(result.stats)
 
     def run_stats(self) -> Optional[MatchStats]:
         """Stats of the initial full run, surviving checkpoint restores."""
@@ -503,11 +517,12 @@ class StreamingSession:
 
     def total_batch_stats(self) -> MatchStats:
         """Sum of every ingested batch's counters (sequential semantics),
-        including batches ingested before a checkpoint restore."""
-        total = self._restored_batch_stats or MatchStats()
-        for result in self.batch_history:
-            total = total.merged_with(result.stats)
-        return total
+        including batches ingested before a checkpoint restore.
+
+        A copy of the running total each ingest folds its batch into (in
+        history order, so the floats equal a re-merge of the history).
+        """
+        return copy.deepcopy(self._batch_total)
 
     def __repr__(self) -> str:
         return (

@@ -1110,7 +1110,8 @@ class Workbench:
         lines = [
             f"service: {health['status']}  sessions={health['sessions']}  "
             f"durable={'yes' if health['durable'] else 'no'}  "
-            f"restore_failures={len(health['restore_failures'])}"
+            f"restore_failures={len(health['restore_failures'])}  "
+            f"restore_fallbacks={len(health['restore_fallbacks'])}"
         ]
         window = sample("repro_http_window_seconds")
         endpoints = sorted(

@@ -7,6 +7,8 @@ individual test modules stay independent and quick.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.blocking import OverlapBlocker
@@ -84,3 +86,19 @@ def small_estimates(small_workload):
     """Calibrated (deterministic) estimates for the small workload."""
     estimator = CostEstimator(sample_fraction=0.05, seed=3, mode="calibrated")
     return estimator.estimate(small_workload.function, small_workload.candidates)
+
+
+@pytest.fixture()
+def reseal():
+    """Re-seal a checkpoint generation after a test edited its files, so
+    that what rejects the edit is the check under test, not the checksum."""
+    from repro.core.persistence import MANIFEST, _manifest_bytes
+
+    def _reseal(generation):
+        manifest = json.loads((generation / MANIFEST).read_bytes())
+        files = {name: (generation / name).read_bytes() for name in manifest["files"]}
+        (generation / MANIFEST).write_bytes(
+            _manifest_bytes(manifest["generation"], files)
+        )
+
+    return _reseal

@@ -7,7 +7,7 @@ import pytest
 
 from repro import ReproError
 from repro.core import MatchState, save_state
-from repro.core.persistence import load_state
+from repro.core.persistence import load_state, open_checkpoint
 from repro.errors import (
     BlockingError,
     ChangeError,
@@ -65,18 +65,20 @@ class TestPersistenceVersioning:
         directory = save_state(state, tmp_path / "session")
         return directory, candidates, small_workload
 
-    def test_version_mismatch_rejected(self, saved):
+    def test_version_mismatch_rejected(self, saved, reseal):
         directory, candidates, workload = saved
-        meta_path = directory / "meta.json"
+        generation = open_checkpoint(directory).path
+        meta_path = generation / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["version"] = 999
         meta_path.write_text(json.dumps(meta))
+        reseal(generation)
         with pytest.raises(StateError, match="version"):
             load_state(directory, candidates)
 
     def test_function_file_is_human_readable_dsl(self, saved):
         directory, _candidates, workload = saved
-        text = (directory / "function.rules").read_text()
+        text = (open_checkpoint(directory).path / "function.rules").read_text()
         assert ":" in text  # rule names
         assert any(op in text for op in (">=", "<=", ">", "<"))
 

@@ -5,8 +5,8 @@ save/load with every field intact (the seed's ``save_state`` dropped
 ``phase_seconds``/``worker_timings``/``bound_skips`` — regression-locked
 here), and a full :func:`repro.core.persistence.save_session` /
 ``load_session`` cycle restores a streaming session whose labels,
-attribution, memo, token caches, and accounting equal the original
-entry for entry — and which keeps ingesting correctly afterwards.
+attribution, memo, and accounting equal the original entry for entry —
+and which keeps ingesting correctly afterwards, from cold token caches.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.persistence import (
     load_session,
     load_state,
     load_stats,
+    open_checkpoint,
     save_session,
     save_state,
     stats_from_dict,
@@ -132,13 +133,13 @@ class TestStatsRoundTrip:
         streaming = _build_streaming()
         stats = _full_stats()
         save_state(streaming.state, tmp_path / "state", stats=stats)
-        assert (tmp_path / "state" / "stats.json").exists()
+        assert (open_checkpoint(tmp_path / "state").path / "stats.json").exists()
         assert load_stats(tmp_path / "state") == stats
 
     def test_save_state_without_stats_loads_none(self, tmp_path):
         streaming = _build_streaming()
         save_state(streaming.state, tmp_path / "state")
-        assert not (tmp_path / "state" / "stats.json").exists()
+        assert not (open_checkpoint(tmp_path / "state").path / "stats.json").exists()
         assert load_stats(tmp_path / "state") is None
 
     def test_state_round_trip_unaffected_by_stats(self, tmp_path):
@@ -191,18 +192,25 @@ class TestSessionCheckpoint:
         assert restored.session.gold == streaming.session.gold
         assert restored.session.metrics() == streaming.session.metrics()
 
-    def test_round_trip_restores_token_cache(self, tmp_path):
+    def test_restored_kernels_start_cold(self, tmp_path):
         streaming = _build_streaming()
         self._ingest_and_edit(streaming)
         save_session(streaming, tmp_path / "ckpt", blocker_spec=BLOCKER_SPEC)
         restored = load_session(
             tmp_path / "ckpt", OverlapBlocker("title", min_overlap=1)
         )
-        original_cache = streaming.session.kernels.cache
-        restored_cache = restored.session.kernels.cache
-        assert restored_cache.hits == original_cache.hits
-        assert restored_cache.misses == original_cache.misses
-        assert restored_cache._buckets == original_cache._buckets
+        # Token caches are not checkpointed: the restored kernels are cold.
+        assert streaming.session.kernels.cache._buckets
+        assert not restored.session.kernels.cache._buckets
+        assert restored.session.kernels.cache.total_misses == 0
+
+        follow_up = Delta.update("b", "b2", title="blue sky atlas deluxe")
+        result_original = streaming.ingest(follow_up)
+        result_restored = restored.ingest(follow_up)
+        assert _state_snapshot(restored) == _state_snapshot(streaming)
+        assert result_restored.affected_indices == result_original.affected_indices
+        assert result_restored.match_count == result_original.match_count
+        assert restored.session.kernels.cache._buckets
 
     def test_restored_session_continues_ingesting_identically(self, tmp_path):
         streaming = _build_streaming()
@@ -239,13 +247,15 @@ class TestSessionCheckpoint:
         with pytest.raises(StateError, match="saved session"):
             load_session(tmp_path, OverlapBlocker("title"))
 
-    def test_restore_rejects_future_format_version(self, tmp_path):
+    def test_restore_rejects_future_format_version(self, tmp_path, reseal):
         streaming = _build_streaming()
         save_session(streaming, tmp_path / "ckpt", blocker_spec=BLOCKER_SPEC)
-        meta_path = tmp_path / "ckpt" / "session.json"
+        generation = open_checkpoint(tmp_path / "ckpt").path
+        meta_path = generation / "session.json"
         meta = json.loads(meta_path.read_text())
         meta["version"] = 999
         meta_path.write_text(json.dumps(meta))
+        reseal(generation)
         with pytest.raises(StateError, match="version 999"):
             load_session(
                 tmp_path / "ckpt", OverlapBlocker("title", min_overlap=1)
@@ -259,7 +269,8 @@ class TestSessionCheckpoint:
             blocker_spec=BLOCKER_SPEC,
             extra_meta={"observability": True},
         )
-        meta = json.loads((tmp_path / "ckpt" / "session.json").read_text())
+        generation = open_checkpoint(tmp_path / "ckpt").path
+        meta = json.loads((generation / "session.json").read_text())
         assert meta["blocker_spec"] == BLOCKER_SPEC
         assert meta["extra"] == {"observability": True}
         assert meta["use_kernels"] is True

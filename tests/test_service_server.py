@@ -17,7 +17,12 @@ import pytest
 from repro.blocking import OverlapBlocker
 from repro.core import parse_function
 from repro.core.changes import RelaxPredicate
-from repro.core.persistence import stats_to_dict
+from repro.core.persistence import (
+    MANIFEST,
+    has_checkpoint,
+    open_checkpoint,
+    stats_to_dict,
+)
 from repro.data import Record, Table
 from repro.service import ServiceClient, ServiceClientError, ServiceThread
 from repro.streaming import Delta, DeltaBatch, StreamingSession
@@ -309,6 +314,19 @@ class TestErrorEnvelopes:
             thread.stop(graceful=False)
 
 
+def _current_generation_files(root):
+    """``{session/file: bytes}`` over every file of each session's
+    current checkpoint generation except the manifest, whose generation
+    number a rewrite of the same state bumps."""
+    return {
+        f"{entry.name}/{path.name}": path.read_bytes()
+        for entry in sorted(root.iterdir())
+        if has_checkpoint(entry)
+        for path in sorted(open_checkpoint(entry).path.iterdir())
+        if path.name != MANIFEST
+    }
+
+
 class TestRestartRestore:
     def test_sessions_survive_server_restart(self, server):
         client, thread, root = server
@@ -346,10 +364,7 @@ class TestRestartRestore:
         client.create_session(_create_payload("bytes"))
         client.ingest("bytes", BATCH_ONE)
         thread.stop()
-        first = {
-            path.relative_to(root): path.read_bytes()
-            for path in sorted(root.rglob("*.json"))
-        }
+        first = _current_generation_files(root)
         assert first, "checkpoint should contain state files"
 
         # restart, change nothing, stop again: the re-checkpointed state
@@ -361,10 +376,7 @@ class TestRestartRestore:
         assert client2.list_sessions()[0]["name"] == "bytes"
         report = thread2.stop()
         assert report["checkpointed"] == []  # clean -> not rewritten
-        second = {
-            path.relative_to(root): path.read_bytes()
-            for path in sorted(root.rglob("*.json"))
-        }
+        second = _current_generation_files(root)
         assert first == second
 
     def test_corrupt_checkpoint_does_not_block_startup(self, server):
@@ -394,11 +406,7 @@ class TestRestartRestore:
         client.create_session(_create_payload("stable"))
         client.ingest("stable", BATCH_ONE)
         client.checkpoint("stable")
-        first = {
-            path.relative_to(root): path.read_bytes()
-            for path in sorted(root.rglob("*.json"))
-            if "observability" not in path.name
-        }
+        first = _current_generation_files(root)
         thread.stop()
 
         thread2 = ServiceThread(port=0, checkpoint_root=root)
@@ -406,11 +414,7 @@ class TestRestartRestore:
         try:
             client2 = ServiceClient(host2, port2)
             client2.checkpoint("stable")  # force a rewrite from restored state
-            second = {
-                path.relative_to(root): path.read_bytes()
-                for path in sorted(root.rglob("*.json"))
-                if "observability" not in path.name
-            }
+            second = _current_generation_files(root)
             assert first == second
         finally:
             thread2.stop()
@@ -454,7 +458,7 @@ class TestGracefulShutdown:
         thread._stopped.wait(timeout=30)
         assert not thread.running
         # the endpoint-triggered stop checkpointed the dirty session:
-        assert (root / "remote-stop" / "session.json").exists()
+        assert (open_checkpoint(root / "remote-stop").path / "session.json").exists()
 
 
 class TestServiceThread:
