@@ -24,6 +24,8 @@ A cold phase times what an analyst waits for first: a fresh
 the kernel layer and with ``use_kernels=False``.  Labels must agree, and
 the kernel layer — record caches plus the token-pair memo under
 Monge-Elkan and Soft TF-IDF — must make the cold run at least 2x faster.
+The memo's Jaro-Winkler bucket must key unordered token pairs: no pair
+is held in both orders.
 
 An edit phase then runs the paper's §7.6 edit protocol on an ``auto``
 session over the same workload — 30 edit/inverse pairs across
@@ -266,6 +268,22 @@ def test_cold_phase(benchmark, columnar_workload):
     plain_seconds, plain_labels, _ = runs[False]
     assert np.array_equal(kernels_labels, plain_labels)
     memo = kernels.token_pairs
+    # Jaro-Winkler is bit-symmetric, so its bucket keys unordered pairs:
+    # the backward passes hit the forward entries, and no token pair is
+    # held in both orders.
+    jaro_winkler = [
+        bucket
+        for key, bucket in memo._buckets.items()
+        if memo._labels[key] == "pairs:jaro_winkler"
+    ]
+    assert jaro_winkler, "the cold run filled no Jaro-Winkler bucket"
+    transposed = sum(
+        (y, x) in bucket.scores
+        for bucket in jaro_winkler
+        for x, y in bucket.scores
+        if x != y
+    )
+    assert transposed == 0, f"{transposed} token pairs held in both orders"
     _RESULTS["cold"] = {
         "kernels_seconds": kernels_seconds,
         "no_kernels_seconds": plain_seconds,

@@ -15,9 +15,10 @@ matching decision:
 * :class:`DerivedValueCache` — the same idea for non-token derived forms:
   normalized strings (exact/edit-distance families), parsed numbers, and
   per-record TF-IDF vectors and token lists.
-* :class:`TokenPairMemo` — secondary-measure scores per ordered token
-  pair, shared by Monge-Elkan and Soft TF-IDF, so a cold match compares
-  each pair of tokens once instead of once per (pair, feature).
+* :class:`TokenPairMemo` — secondary-measure scores per token pair
+  (unordered under the bit-symmetric Jaro family, ordered otherwise),
+  shared by Monge-Elkan and Soft TF-IDF, so a cold match compares each
+  pair of tokens once instead of once per (pair, feature).
 * :class:`FeatureKernels` — the façade the matchers talk to: per-pair
   cached computation (:meth:`FeatureKernels.compute`), whole-column
   batched computation for the precompute strategies

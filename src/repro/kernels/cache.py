@@ -20,14 +20,16 @@ unique per table side, and the streaming layer invalidates ids it touches
 identity of the id alone is not enough across deltas).
 
 :class:`TokenPairMemo` is the one cache here keyed by values rather than
-records: secondary-measure scores of ordered token pairs, for the
-measures that compare tokens below the pair memo (Monge-Elkan, Soft
-TF-IDF).
+records: secondary-measure scores of token pairs, for the measures that
+compare tokens below the pair memo (Monge-Elkan, Soft TF-IDF).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
+
+from ..similarity.base import NormalizedStringSimilarity
+from ..similarity.jaro import Jaro, JaroWinkler
 
 #: Sentinel distinguishing "not cached" from a cached ``None`` (e.g. a
 #: numeric value that failed to parse is cached as ``None``).
@@ -277,25 +279,67 @@ class _PairBucket:
             return score
 
 
+class _SymmetricPairBucket(_PairBucket):
+    """A bit-symmetric secondary's scores per unordered token pair:
+    ``(x, y)`` and ``(y, x)`` share the entry of whichever came first."""
+
+    __slots__ = ()
+
+    def lookup(self, x: str, y: str) -> float:
+        self.lookups += 1
+        key = (x, y) if x <= y else (y, x)
+        try:
+            return self.scores[key]
+        except KeyError:
+            score = self.scores[key] = self.compare(x, y)
+            return score
+
+
+def _bit_symmetric(secondary) -> bool:
+    """Whether ``secondary.compare(x, y) == secondary.compare(y, x)`` holds
+    bit for bit, by the type's scoring code: the Jaro family's, reached
+    through the stock normalize-then-score ``compare``.
+
+    For one character, the greedy match over its positions in ``x`` and
+    in ``y`` is a two-pointer merge — match the next unmatched ``p`` and
+    ``q`` if ``|p - q|`` is within the window, else drop the one further
+    left — and both the window and that rule read the same from either
+    side, so swapping the arguments matches the same positions and gives
+    the same matches and transpositions.  IEEE addition is commutative,
+    so ``m/len_x + m/len_y`` rounds the same swapped, and the Winkler
+    prefix is symmetric.  Normalization applies to each argument alone,
+    so overriding ``kernel_normalize`` keeps this; overriding the scoring
+    does not, and such a subclass keeps ordered keys.
+    """
+    cls = type(secondary)
+    return cls.compare is NormalizedStringSimilarity.compare and (
+        cls.score_norms is Jaro.score_norms
+        or cls.score_norms is JaroWinkler.score_norms
+    )
+
+
 class TokenPairMemo:
-    """Secondary-measure scores per ordered token pair, with counters.
+    """Secondary-measure scores per token pair, with counters.
 
     Monge-Elkan and Soft TF-IDF compare tokens of one value with tokens of
     the other through a secondary measure (Jaro-Winkler by default).
     Those comparisons sit below the pair memo, so the same two tokens are
     compared again for every pair and feature they occur in.  This memo
-    maps ordered ``(x, y)`` token strings to the exact float
-    ``secondary.compare(x, y)`` returned — ordered, because a measure may
-    round differently with its arguments swapped — in one bucket per
+    maps ``(x, y)`` token strings to the exact float
+    ``secondary.compare(x, y)`` returned, in one bucket per
     ``secondary.cache_key()``, so every feature whose secondary behaves
     the same (Monge-Elkan and Soft TF-IDF over the same tokens, say)
-    shares one bucket.
+    shares one bucket.  Keys are ordered, because a measure may round
+    differently with its arguments swapped — except for the Jaro family,
+    whose scores are bit-symmetric (:func:`_bit_symmetric`): there one
+    entry serves both orders, so the backward pass of Monge-Elkan and
+    Soft TF-IDF hits the entries of the forward pass.
 
     Keys are token strings, not records: no record delta or corpus swap
     makes an entry stale, so nothing is ever evicted, and the hit/miss
-    split needs no per-miss counter (each miss adds exactly one entry).
-    The memo lives exactly as long as the owning
-    :class:`~repro.kernels.FeatureKernels` and is never persisted.
+    split needs no per-miss counter (each miss is one ``compare`` call
+    and adds exactly one entry).  The memo lives exactly as long as the
+    owning :class:`~repro.kernels.FeatureKernels` and is never persisted.
     """
 
     __slots__ = ("_buckets", "_labels")
@@ -311,7 +355,8 @@ class TokenPairMemo:
         key = secondary.cache_key()
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = self._buckets[key] = _PairBucket(secondary.compare)
+            kind = _SymmetricPairBucket if _bit_symmetric(secondary) else _PairBucket
+            bucket = self._buckets[key] = kind(secondary.compare)
             label = f"pairs:{secondary.name}"
             if label in self._labels.values():  # same name, other behaviour
                 label = f"{label}#{len(self._buckets)}"

@@ -50,10 +50,11 @@ base's ``compare`` (and family scoring pipeline) intact:
 
 Monge-Elkan and Soft TF-IDF score through their secondary measure's
 bucket of the token-pair memo: the measure's own scoring code runs with
-the memo's lookup in place of ``secondary.compare``, so each ordered
-token pair is compared once per kernels object, whichever feature,
-pair or run asks.  The memo lives as long as this object (a session, a
-streaming session, a parallel worker) and is never persisted.
+the memo's lookup in place of ``secondary.compare``, so each token
+pair is compared once per kernels object, whichever feature, pair or
+run asks (once per unordered pair under a Jaro-family secondary, whose
+scores are bit-symmetric).  The memo lives as long as this object (a
+session, a streaming session, a parallel worker) and is never persisted.
 
 Everything else (Needleman-Wunsch, Smith-Waterman, Editex, Nysiis,
 Hamming, bag measures, user measures overriding ``compare``) falls

@@ -83,24 +83,21 @@ class CandidateEdit:
         return f"Suggestion({self.describe()})"
 
 
-def feature_value(state: MatchState, pair_index: int, predicate: Predicate) -> float:
-    """Memo-first feature read (computes + memoizes on miss)."""
-    cached = state.memo.get(pair_index, predicate.feature.name)
-    if cached is not None:
-        return cached
-    pair = state.candidates[pair_index]
-    value = predicate.feature.compute(pair.record_a, pair.record_b)
-    state.memo.put(pair_index, predicate.feature.name, value)
-    return value
+def feature_value(state: MatchState, pair_index: int, feature: Feature) -> float:
+    """Memo-first feature read; a miss is computed and memoized.
 
-
-def _feature_value_raw(state: MatchState, pair_index: int, feature: Feature) -> float:
-    """Memo-first read keyed by a bare feature (no predicate yet)."""
+    The miss goes through the state's kernels when it has them (record
+    caches, token-pair memo), else through the memo-free
+    ``feature.compute``; the two return bit-identical values.
+    """
     cached = state.memo.get(pair_index, feature.name)
     if cached is not None:
         return cached
     pair = state.candidates[pair_index]
-    value = feature.compute(pair.record_a, pair.record_b)
+    if state.kernels is not None:
+        value = state.kernels.compute(feature, pair)
+    else:
+        value = feature.compute(pair.record_a, pair.record_b)
     state.memo.put(pair_index, feature.name, value)
     return value
 
@@ -266,11 +263,11 @@ def tighten_edits(
         rule = state.function.rule(rule_name)
         for predicate in rule.predicates:
             good_values = [
-                feature_value(state, index, predicate)
+                feature_value(state, index, predicate.feature)
                 for index in true_positive_pairs
             ]
             bad_values = [
-                feature_value(state, index, predicate)
+                feature_value(state, index, predicate.feature)
                 for index in false_positive_pairs
             ]
             slot_edits = [
@@ -308,7 +305,7 @@ def _recoverable_by_slot(
         for rule in state.function.rules:
             failing: List[Predicate] = []
             for predicate in rule.predicates:
-                value = feature_value(state, pair_index, predicate)
+                value = feature_value(state, pair_index, predicate.feature)
                 if not predicate.evaluate(value):
                     failing.append(predicate)
                 if len(failing) > 1:
@@ -316,7 +313,7 @@ def _recoverable_by_slot(
             if len(failing) == 1:
                 predicate = failing[0]
                 needed[(rule.name, predicate.slot)].append(
-                    feature_value(state, pair_index, predicate)
+                    feature_value(state, pair_index, predicate.feature)
                 )
     return needed
 
@@ -333,11 +330,11 @@ def _relaxation_risk(
     others = [p for p in rule.predicates if p.slot != slot]
     risk = 0
     for pair_index in unmatched_non_gold:
-        value = feature_value(state, pair_index, predicate)
+        value = feature_value(state, pair_index, predicate.feature)
         if not relaxed.evaluate(value) or predicate.evaluate(value):
             continue
         if all(
-            other.evaluate(feature_value(state, pair_index, other))
+            other.evaluate(feature_value(state, pair_index, other.feature))
             for other in others
         ):
             risk += 1
@@ -431,10 +428,11 @@ def drop_predicate_edits(
         others = [p for p in rule.predicates if p.slot != slot]
         risk = 0
         for pair_index in unmatched_non_gold:
-            if predicate.evaluate(feature_value(state, pair_index, predicate)):
+            value = feature_value(state, pair_index, predicate.feature)
+            if predicate.evaluate(value):
                 continue  # not newly admitted by the removal
             if all(
-                other.evaluate(feature_value(state, pair_index, other))
+                other.evaluate(feature_value(state, pair_index, other.feature))
                 for other in others
             ):
                 risk += 1
@@ -514,10 +512,10 @@ def add_predicate_edits(
             if probe.slot in occupied:
                 continue
             good_values = [
-                _feature_value_raw(state, index, feature) for index in tps
+                feature_value(state, index, feature) for index in tps
             ]
             bad_values = [
-                _feature_value_raw(state, index, feature) for index in fps
+                feature_value(state, index, feature) for index in fps
             ]
             for threshold, removed, lost in stricter_candidates(
                 probe, good_values, bad_values
@@ -546,7 +544,7 @@ def _fresh_rule_name(function: MatchingFunction, prefix: str, start: int = 0) ->
 
 def _rule_admits(state: MatchState, rule: Rule, pair_index: int) -> bool:
     return all(
-        predicate.evaluate(feature_value(state, pair_index, predicate))
+        predicate.evaluate(feature_value(state, pair_index, predicate.feature))
         for predicate in rule.predicates
     )
 
@@ -629,13 +627,13 @@ def add_rule_edits(
     for name in sorted(universe):
         feature = universe[name]
         fn_values = sorted(
-            _feature_value_raw(state, index, feature)
+            feature_value(state, index, feature)
             for index in profile.false_negatives
         )
         median_fn = fn_values[len(fn_values) // 2]
         if unmatched_non_gold:
             ung_values = sorted(
-                _feature_value_raw(state, index, feature)
+                feature_value(state, index, feature)
                 for index in unmatched_non_gold
             )
             median_ung = ung_values[len(ung_values) // 2]

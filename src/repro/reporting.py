@@ -13,6 +13,7 @@ control scale and seed) and returns deterministic rows given a seed.
 from __future__ import annotations
 
 import csv
+import gc
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,13 +245,19 @@ def run_add_rule_sweep(
             ordering="original",
             check_cache_first=True,
         )
+        # Settle the cyclic collector before each timed step, so a step
+        # pays for its own garbage and not for a collection that earlier
+        # steps' allocations set off.
+        gc.collect()
         initial = session.run()
         times = [initial.stats.elapsed_seconds]
         for rule in rules[1:]:
             if mode == "incremental":
+                gc.collect()
                 times.append(session.apply(AddRule(rule)).elapsed_seconds)
             else:
                 session.state.function = session.state.function.with_rule_added(rule)
+                gc.collect()
                 times.append(session.rerun_full().stats.elapsed_seconds)
         return times
 

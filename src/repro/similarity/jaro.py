@@ -14,11 +14,21 @@ from .base import NormalizedStringSimilarity
 
 
 def jaro_similarity(x: str, y: str) -> float:
-    """Raw Jaro similarity of two strings.
+    """Raw Jaro similarity of two strings, bit-parallel.
 
     Matching characters must be equal and within
     ``max(len) // 2 - 1`` positions of each other; the score combines the
     match ratio in each string with the transposition count among matches.
+
+    The greedy matching is the textbook one — each character of ``x``, in
+    order, takes the first unmatched equal character of ``y`` inside its
+    window — done on bit masks: one Python int per character of ``y``
+    holds its positions, ``free`` holds the positions not yet matched,
+    and the first candidate is the lowest set bit of their intersection
+    clipped to the window.  Matches, transpositions and the score
+    expression are exactly the loop's (the tests keep that loop as the
+    oracle).  Python ints are unbounded, so strings of any length use the
+    same code.
     """
     if x == y:
         return 1.0
@@ -28,29 +38,35 @@ def jaro_similarity(x: str, y: str) -> float:
     window = max(len_x, len_y) // 2 - 1
     if window < 0:
         window = 0
-    x_flags = [False] * len_x
-    y_flags = [False] * len_y
-    matches = 0
-    for i, cx in enumerate(x):
-        start = max(0, i - window)
-        end = min(i + window + 1, len_y)
-        for j in range(start, end):
-            if not y_flags[j] and y[j] == cx:
-                x_flags[i] = True
-                y_flags[j] = True
-                matches += 1
-                break
+    positions = {}  # character -> bit mask of its positions in y
+    bit = 1
+    for char in y:
+        positions[char] = positions.get(char, 0) | bit
+        bit <<= 1
+    free = bit - 1  # positions of y not matched yet
+    get = positions.get
+    matched = []  # the matched characters of x, in x order
+    for i, char in enumerate(x):
+        candidates = get(char, 0) & free
+        if candidates:
+            low = i - window
+            if low > 0:
+                candidates = candidates >> low << low
+            candidates &= (2 << (i + window)) - 1
+            if candidates:
+                free ^= candidates & -candidates
+                matched.append(char)
+    matches = len(matched)
     if matches == 0:
         return 0.0
+    # Walk the matched positions of y in order, in step with x's.
+    y_flags = (bit - 1) ^ free
     transpositions = 0
-    j = 0
-    for i in range(len_x):
-        if x_flags[i]:
-            while not y_flags[j]:
-                j += 1
-            if x[i] != y[j]:
-                transpositions += 1
-            j += 1
+    for char in matched:
+        lowest = y_flags & -y_flags
+        if char != y[lowest.bit_length() - 1]:
+            transpositions += 1
+        y_flags ^= lowest
     transpositions //= 2
     return (
         matches / len_x + matches / len_y + (matches - transpositions) / matches

@@ -132,7 +132,7 @@ class SoftTfIdf(CorpusVectorSimilarity):
     reproducing that cost profile matters for the ordering experiments.
     The scalar path (:meth:`compare`) keeps paying it; the kernel layer
     passes its token-pair memo as ``lookup`` to :meth:`from_vectors`, so
-    it compares each ordered token pair once.
+    it compares each token pair once.
     """
 
     cost_tier = 9

@@ -28,7 +28,7 @@ from repro.core.matchers import DynamicMemoMatcher, PrecomputeMatcher
 from repro.core.parser import parse_function
 from repro.core.rules import Feature, Predicate
 from repro.data import CandidateSet, Record, Table
-from repro.kernels import FeatureKernels, TokenCache
+from repro.kernels import FeatureKernels, TokenCache, TokenPairMemo
 from repro.learning import build_workload
 from repro.observability import Observability, detect_drift
 from repro.similarity import (
@@ -79,6 +79,15 @@ _VALUES_B = [
     "x1",
     "unrelated words entirely",
 ]
+
+
+def _one_pair(text_a, text_b):
+    """The only candidate pair of two one-record tables."""
+    table_a = Table("A", ("text",))
+    table_a.add(Record("a0", {"text": text_a}))
+    table_b = Table("B", ("text",))
+    table_b.add(Record("b0", {"text": text_b}))
+    return CandidateSet.from_id_pairs(table_a, table_b, [("a0", "b0")])[0]
 
 
 def _cross_candidates():
@@ -352,29 +361,34 @@ class TestTokenPairMeasures:
         assert [row["label"] for row in kernels.token_pairs.stats()] == [
             "pairs:jaro_winkler"
         ]
-        # Monge-Elkan compared every ordered token pair already.
+        # Monge-Elkan compared every token pair already.
         assert len(kernels.token_pairs) == entries
 
     @pytest.mark.parametrize(
-        "secondaries",
+        "secondaries, entries",
         [
-            (JaroWinkler(0.1), JaroWinkler(0.25)),
-            (Jaccard(QgramTokenizer(q=2)), Jaccard(QgramTokenizer(q=2, padded=False))),
+            # bit-symmetric: one entry per unordered pair, 2 x 2 tokens
+            ((JaroWinkler(0.1), JaroWinkler(0.25)), 4),
+            # no symmetry proof: ordered keys, 2 x 2 tokens both directions
+            (
+                (
+                    Jaccard(QgramTokenizer(q=2)),
+                    Jaccard(QgramTokenizer(q=2, padded=False)),
+                ),
+                8,
+            ),
         ],
         ids=["jaro_winkler_prefix_weight", "jaccard_qgram_padding"],
     )
-    def test_equally_named_secondaries_do_not_share_memo_entries(self, secondaries):
-        table_a = Table("A", ("text",))
-        table_a.add(Record("a0", {"text": "jon smith"}))
-        table_b = Table("B", ("text",))
-        table_b.add(Record("b0", {"text": "john smyth"}))
-        candidates = CandidateSet.from_id_pairs(table_a, table_b, [("a0", "b0")])
+    def test_equally_named_secondaries_do_not_share_memo_entries(
+        self, secondaries, entries
+    ):
         first, second = secondaries
         assert first.name == second.name
         light = Feature(MongeElkan(first), "text", "text", name="me_first")
         heavy = Feature(MongeElkan(second), "text", "text", name="me_second")
         kernels = FeatureKernels()
-        pair = candidates[0]
+        pair = _one_pair("jon smith", "john smyth")
         got = [kernels.compute(feature, pair) for feature in (light, heavy)]
         want = [
             feature.compute(pair.record_a, pair.record_b) for feature in (light, heavy)
@@ -383,9 +397,49 @@ class TestTokenPairMeasures:
         assert got == want
         stats = kernels.token_pairs.stats()
         assert len(stats) == 2
-        # 2 x 2 tokens, compared in both directions: 8 ordered pairs each
-        assert [row["entries"] for row in stats] == [8, 8]
+        assert [row["entries"] for row in stats] == [entries, entries]
         assert len({row["label"] for row in stats}) == 2
+
+    def test_jaro_winkler_bucket_keys_unordered_pairs(self):
+        secondary = JaroWinkler()
+        memo = TokenPairMemo()
+        lookup = memo.lookup(secondary)
+        tokens = ["jon", "john", "Jon", "smith", "smyth", "x1", "x2", "marhta"]
+        for x in tokens:
+            for y in tokens:
+                assert lookup(x, y) == secondary.compare(x, y)
+                assert lookup(y, x) == secondary.compare(y, x)
+        # one entry per unordered pair, the diagonal included
+        assert len(memo) == len(tokens) * (len(tokens) + 1) // 2
+        (row,) = memo.stats()
+        assert row["misses"] == len(memo)
+        assert row["hits"] == 2 * len(tokens) ** 2 - len(memo)
+
+    def test_overridden_scoring_keeps_ordered_keys(self):
+        class LopsidedJaroWinkler(JaroWinkler):
+            """Asymmetric on purpose: halves the score when x sorts last."""
+
+            def score_norms(self, x, y):
+                score = super().score_norms(x, y)
+                return score / 2.0 if x > y else score
+
+        feature = Feature(MongeElkan(LopsidedJaroWinkler()), "text", "text")
+        kernels = FeatureKernels()
+        assert kernels.supports(feature)
+        candidates = _cross_candidates()
+        reference = np.array(
+            [feature.compute(pair.record_a, pair.record_b) for pair in candidates],
+            dtype=np.float64,
+        )
+        column = kernels.compute_column(feature, candidates)
+        assert column.tobytes() == reference.tobytes()
+        # 2 x 2 tokens, each pair under its own order: 8 entries
+        pair = _one_pair("jon smith", "john smyth")
+        fresh = FeatureKernels()
+        assert fresh.compute(feature, pair) == feature.compute(
+            pair.record_a, pair.record_b
+        )
+        assert len(fresh.token_pairs) == 8
 
     def test_corpus_backed_secondary_bypasses_the_memo(self):
         from repro.similarity import TfIdf

@@ -35,12 +35,13 @@ from repro.refine import (
     dedupe_edits,
     dominates,
     error_profile,
+    feature_value,
     generate_candidates,
     pareto_frontier,
     refine,
     tighten_edits,
 )
-from repro.similarity import ExactMatch, Levenshtein
+from repro.similarity import ExactMatch, Levenshtein, MongeElkan
 
 
 def build_numeric_task():
@@ -88,6 +89,35 @@ def build_recall_task():
     )
     code_feature = Feature(Levenshtein(), "code", "code")
     name_feature = Feature(ExactMatch(), "name", "name")
+    function = MatchingFunction(
+        [Rule("codes", [Predicate(code_feature, ">=", 0.9)])]
+    )
+    gold = {("a0", "b0"), ("a1", "b1")}
+    return candidates, function, gold, name_feature
+
+
+def build_token_task():
+    """A recall task whose fix needs a token-level feature: the missed
+    gold pair's names agree token by token, up to typos, and no other
+    pair's do.  The seeded rule reads only ``code``, so every
+    Monge-Elkan value the search reads is a memo miss."""
+    table_a = Table("A", ("name", "code"))
+    table_b = Table("B", ("name", "code"))
+    rows = [
+        ("a0", "b0", "ada lovelace", "ada lovelace", "k1", "k1"),
+        ("a1", "b1", "jon smith", "john smyth", "k2", "x9"),
+        ("a2", "b2", "cyd charisse", "eve arden", "k3", "z7"),
+        ("a3", "b3", "dan brown", "ned kelly", "k4", "q2"),
+        ("a4", "b4", "jon smith", "ned kelly", "k5", "w4"),
+    ]
+    for a_id, b_id, a_name, b_name, a_code, b_code in rows:
+        table_a.add(Record(a_id, {"name": a_name, "code": a_code}))
+        table_b.add(Record(b_id, {"name": b_name, "code": b_code}))
+    candidates = CandidateSet.from_id_pairs(
+        table_a, table_b, [(f"a{i}", f"b{i}") for i in range(len(rows))]
+    )
+    code_feature = Feature(Levenshtein(), "code", "code")
+    name_feature = Feature(MongeElkan(), "name", "name")
     function = MatchingFunction(
         [Rule("codes", [Predicate(code_feature, ">=", 0.9)])]
     )
@@ -247,6 +277,24 @@ class TestGenerators:
         ]
         assert any(edit.predicted_gain >= 1 for edit in add_rules)
 
+    def test_feature_value_computes_a_miss_through_the_kernels(self):
+        candidates, function, gold, name_feature = build_token_task()
+        session = DebugSession(candidates, function, gold=gold)
+        session.run()
+        state = session.state
+        memo = session.kernels.token_pairs
+        assert memo.total_hits + memo.total_misses == 0
+        pair = candidates[1]
+        value = feature_value(state, 1, name_feature)
+        assert value == name_feature.compute(pair.record_a, pair.record_b)
+        assert state.memo.get(1, name_feature.name) == value
+        lookups = memo.total_hits + memo.total_misses
+        assert lookups > 0
+        # memoized now: the next read touches neither the kernels nor the
+        # token-pair memo
+        assert feature_value(state, 1, name_feature) == value
+        assert memo.total_hits + memo.total_misses == lookups
+
     def test_dedupe_edits_collapses_identical_changes(self):
         candidates, function, gold = build_numeric_task()
         state, _ = MatchState.from_initial_run(function, candidates)
@@ -397,6 +445,50 @@ class TestSessionRefine:
         session.apply_many(list(report.best.edits))
         metrics = session.metrics()
         assert metrics.precision == 1.0 and metrics.recall == 1.0
+
+    def test_kernel_session_refine_equals_the_memo_free_report(self):
+        """Memo misses read through the kernels change no value, so the
+        search proposes, scores and reports exactly what it does on a
+        session without kernels."""
+
+        def summary(use_kernels):
+            candidates, function, gold, name_feature = build_token_task()
+            session = DebugSession(
+                candidates, function, gold=gold, use_kernels=use_kernels
+            )
+            session.run()
+            report = session.refine(feature_universe=[name_feature])
+            if use_kernels:
+                memo = session.kernels.token_pairs
+                assert memo.total_hits + memo.total_misses > 0
+            else:
+                assert session.kernels is None
+            frontier = [
+                (
+                    entry.describe(),
+                    entry.objective,
+                    [
+                        (
+                            outcome.fixed,
+                            outcome.broken,
+                            outcome.fixed_examples,
+                            outcome.broken_examples,
+                        )
+                        for outcome in entry.outcomes
+                    ],
+                )
+                for entry in report.frontier
+            ]
+            return (
+                frontier,
+                report.candidates_scored,
+                report.candidates_generated,
+                report.best.f1,
+            )
+
+        with_kernels = summary(True)
+        assert with_kernels == summary(False)
+        assert with_kernels[3] == 1.0
 
     def test_session_refine_without_gold_is_rejected(self):
         candidates, function, _gold = build_numeric_task()

@@ -9,15 +9,22 @@ Every registered measure must satisfy (module docstring of
 * identity (``sim(x, x) == 1``) on inputs the measure is defined for.
 
 It also pins the bit-parallel ``levenshtein_distance`` to the textbook
-dynamic program, kept here as the oracle.
+dynamic program and the bit-parallel ``jaro_similarity`` to the textbook
+matching loop, both kept here as oracles, and pins the Jaro family's
+bitwise symmetry, which the token-pair memo's unordered keys rely on.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.similarity import (
+    Jaro,
+    JaroWinkler,
     default_instances,
+    jaro_similarity,
     levenshtein_distance,
     registered_names,
 )
@@ -117,3 +124,80 @@ def test_levenshtein_matches_dp_oracle(x, y):
     expected = dp_oracle(x, y)
     assert levenshtein_distance(x, y) == expected
     assert levenshtein_distance(y, x) == expected
+
+
+def jaro_oracle(x: str, y: str) -> float:
+    """Textbook Jaro: each character of ``x`` takes the first unmatched
+    equal character of ``y`` in its window, one position at a time."""
+    if x == y:
+        return 1.0
+    len_x, len_y = len(x), len(y)
+    if len_x == 0 or len_y == 0:
+        return 0.0
+    window = max(len_x, len_y) // 2 - 1
+    if window < 0:
+        window = 0
+    x_flags = [False] * len_x
+    y_flags = [False] * len_y
+    matches = 0
+    for i, cx in enumerate(x):
+        start = max(0, i - window)
+        end = min(i + window + 1, len_y)
+        for j in range(start, end):
+            if not y_flags[j] and y[j] == cx:
+                x_flags[i] = True
+                y_flags[j] = True
+                matches += 1
+                break
+    if matches == 0:
+        return 0.0
+    transpositions = 0
+    j = 0
+    for i in range(len_x):
+        if x_flags[i]:
+            while not y_flags[j]:
+                j += 1
+            if x[i] != y[j]:
+                transpositions += 1
+            j += 1
+    transpositions //= 2
+    return (
+        matches / len_x + matches / len_y + (matches - transpositions) / matches
+    ) / 3.0
+
+
+@given(x=EDIT_TEXT, y=EDIT_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_jaro_matches_loop_oracle(x, y):
+    assert jaro_similarity(x, y) == jaro_oracle(x, y)
+    assert jaro_similarity(y, x) == jaro_oracle(y, x)
+
+
+#: the Jaro-family secondaries whose token-pair memo keys are unordered.
+JARO_FAMILY = [Jaro(), JaroWinkler(0.1), JaroWinkler(0.25)]
+
+
+@pytest.mark.parametrize(
+    "measure", JARO_FAMILY, ids=["jaro", "jaro_winkler_0.1", "jaro_winkler_0.25"]
+)
+@given(x=EDIT_TEXT, y=EDIT_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_jaro_family_is_bitwise_symmetric(measure, x, y):
+    assert measure.compare(x, y) == measure.compare(y, x)
+
+
+def test_jaro_family_symmetry_and_oracle_on_a_binary_grid():
+    """Every pair of strings over {a, b} up to length 7: dense repeats
+    make the greedy matching's choices, and so its symmetry, tight."""
+    words = [
+        "".join(letters)
+        for length in range(8)
+        for letters in itertools.product("ab", repeat=length)
+    ]
+    for x in words:
+        for y in words:
+            assert jaro_similarity(x, y) == jaro_oracle(x, y)
+            for measure in JARO_FAMILY:
+                assert measure.compare(x, y) == measure.compare(y, x), (
+                    measure, x, y
+                )
