@@ -175,10 +175,11 @@ class Estimates:
 
     def independent_rule_selectivity(self, rule: Rule) -> float:
         """sel(r) under the paper's independence assumption: the product of
-        per-group joint selectivities."""
+        per-group joint selectivities (the groups come from the per-rule
+        group cache)."""
         selectivity = 1.0
-        for group in group_predicates(rule):
-            selectivity *= self.joint_selectivity(group.predicates)
+        for group in group_predicates(rule, self):
+            selectivity *= group.selectivity
         return selectivity
 
     def with_feature_costs(self, overrides: Dict[str, float]) -> "Estimates":
@@ -378,14 +379,69 @@ def function_cost_with_memo(
     Composes Equation 4's rule-level early exit with Equation 2's
     memo-aware fetch costs and the α recurrence.
     """
-    alpha: Dict[str, float] = {}
-    reach_probability = 1.0
-    total = 0.0
-    for rule in function.rules:
+    return _memo_cost_from(function.rules, estimates, 0.0, 1.0, {})
+
+
+#: C4's running state between two rules: (total, reach probability, α).
+MemoCostState = Tuple[float, float, Dict[str, float]]
+
+
+def _memo_cost_from(
+    rules: Sequence[Rule],
+    estimates: Estimates,
+    total: float,
+    reach_probability: float,
+    alpha: Dict[str, float],
+    states: Optional[List[MemoCostState]] = None,
+) -> float:
+    """C4's running sum over ``rules``, resumed from one state (``alpha``
+    advances in place).  ``states`` collects the state before each rule
+    and after the last."""
+    for rule in rules:
+        if states is not None:
+            states.append((total, reach_probability, dict(alpha)))
         total += reach_probability * rule_cost(rule, estimates, alpha)
         update_alpha(rule, estimates, alpha)
         reach_probability *= 1.0 - estimates.independent_rule_selectivity(rule)
+    if states is not None:
+        states.append((total, reach_probability, dict(alpha)))
     return total
+
+
+class MemoCostPrefix:
+    """C4 of one function, resumable at any rule.
+
+    Keeps :func:`function_cost_with_memo`'s state before each rule of
+    ``function``.  :meth:`cost` prices an edited version of it by
+    replaying only the rules from the first one the edit changed (rules
+    compared by identity: ``MatchingFunction``'s edit helpers keep the
+    untouched rule objects) — the same float operations in the same order,
+    so the result is bit-identical to pricing it whole.
+    """
+
+    def __init__(self, function: MatchingFunction, estimates: Estimates):
+        self.rules = function.rules
+        self.estimates = estimates
+        self._states: List[MemoCostState] = []
+        try:
+            _memo_cost_from(self.rules, estimates, 0.0, 1.0, {}, self._states)
+        except (EstimationError, KeyError):
+            # The states stop before the rule that cannot be priced; a
+            # function that keeps that rule fails there again in cost().
+            pass
+
+    def cost(self, function: MatchingFunction) -> float:
+        """``function_cost_with_memo(function, estimates)``."""
+        rules = function.rules
+        held = self.rules
+        limit = min(len(rules), len(held), len(self._states) - 1)
+        start = 0
+        while start < limit and rules[start] is held[start]:
+            start += 1
+        total, reach_probability, alpha = self._states[start]
+        return _memo_cost_from(
+            rules[start:], self.estimates, total, reach_probability, dict(alpha)
+        )
 
 
 def rudimentary_cost(function: MatchingFunction, estimates: Estimates) -> float:

@@ -21,6 +21,8 @@ they differ only in *when* feature values are computed, which the
 :class:`PairEvaluator` is the shared evaluation kernel — also reused by the
 incremental algorithms (§6), which re-evaluate rule fragments for affected
 pairs with exactly the same memo/recording semantics as a full run.
+:class:`PairRows` puts it behind the columnar executor's ``match_rows``
+signature, which is how the executor runs its few-row calls pair by pair.
 """
 
 from __future__ import annotations
@@ -184,6 +186,9 @@ class PairEvaluator:
         # outcomes.  Never touches stats — with profiler=None the counters
         # and control flow are identical to the unprofiled build.
         self.profiler = profiler
+        #: feature computations made without a kernel (the columnar
+        #: engine's ``scalar_fallbacks`` counter, on this path).
+        self.scalar_fallbacks = 0
         # Per-pair local view of the memo: within one pair's evaluation the
         # same feature may be referenced by hundreds of predicates across
         # rules, and a plain dict lookup is much cheaper than the backing
@@ -211,6 +216,8 @@ class PairEvaluator:
         profiler = self.profiler
         kernels = self.kernels
         use_kernel = kernels is not None and kernels.supports(feature)
+        if not use_kernel:
+            self.scalar_fallbacks += 1
         if profiler is None:
             if use_kernel:
                 value = kernels.compute(feature, pair)
@@ -321,6 +328,48 @@ class PairEvaluator:
                     self.recorder.record_rule_match(pair.index, rule.name)
                 return rule.name
         return None
+
+
+class PairRows:
+    """A :class:`PairEvaluator` behind the columnar executor's row signature.
+
+    :meth:`match_rows` takes and returns what
+    :meth:`~repro.engine.ColumnarExecutor.match_rows` does — an int64 row
+    array in, a bool mask aligned with it out — but walks the rows one
+    pair at a time.  Per pair the two paths leave the same labels, trace
+    facts, memo entries, counters, and profiler counts, so the executor
+    hands few-row calls here: a pair costs a few dict lookups per
+    predicate, where a columnar rule step pays a fixed NumPy cost however
+    few rows it holds.
+    """
+
+    __slots__ = ("evaluator", "candidates", "rules", "rows")
+
+    def __init__(
+        self, evaluator: PairEvaluator, candidates: CandidateSet, rules: Sequence[Rule]
+    ):
+        self.evaluator = evaluator
+        self.candidates = candidates
+        self.rules = tuple(rules)
+        #: rows handed to this adapter, summed over calls.
+        self.rows = 0
+
+    def match_rows(self, rows: np.ndarray, start_rule: int = 0) -> np.ndarray:
+        """Match labels for ``rows`` over ``rules[start_rule:]``, as a bool
+        mask aligned with ``rows``; matches are recorded, labels are not
+        written."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.rows += int(rows.size)
+        candidates = self.candidates
+        rules = self.rules[start_rule:]
+        first_matching_rule = self.evaluator.first_matching_rule
+        return np.array(
+            [
+                first_matching_rule(candidates[row], rules) is not None
+                for row in rows.tolist()
+            ],
+            dtype=bool,
+        )
 
 
 class Matcher:

@@ -33,6 +33,16 @@ samples) and trace *ordering* differ — both explicitly order-insensitive.
 Features without a kernel fall back per-step to a per-pair
 ``feature.compute`` loop over just the rows that need them, counted in
 ``scalar_fallbacks``.
+
+Few rows run per pair.  A rule step pays a fixed NumPy cost (validity
+gathers, the partition, the bound pre-filter, bitmap writes) however few
+rows it holds, so a :meth:`ColumnarExecutor.match_rows` call on at most
+:data:`PAIR_ROWS` rows — an edit's fall-through, a single delta's
+re-match — runs through a :class:`~repro.core.matchers.PairRows` adapter
+over the scalar evaluator instead.  Per pair both paths leave identical
+state, so the choice shows only in the engine counters (``pair_rows``,
+``mask_evals``).  Single-predicate calls and the partitions inside one
+large call stay columnar.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.matchers import Matcher, TraceRecorder
+from ..core.matchers import Matcher, PairEvaluator, PairRows, TraceRecorder
 from ..core.memo import ArrayMemo, FeatureMemo, HashMemo
 from ..core.rules import MatchingFunction, Predicate, Rule
 from ..core.stats import MatchStats
@@ -49,6 +59,12 @@ from ..errors import MatchingError
 from .plan import MatchPlan, RuleStep, plan_function
 
 _EMPTY_ROWS = np.empty(0, dtype=np.int64)
+
+#: ``match_rows`` calls on at most this many rows run pair by pair (see
+#: the module docstring).  Both paths' costs grow with the rules
+#: visited, so the crossover is a row count; docs/performance.md records
+#: the sweep.
+PAIR_ROWS = 32
 
 #: Features packed per int64 validity word — 63, leaving the sign bit
 #: clear so packed words order exactly like the bool rows they encode.
@@ -128,9 +144,9 @@ class ColumnarExecutor:
     """Evaluates a :class:`MatchPlan` over sets of candidate row indices.
 
     One instance per run (or per incremental change application); the
-    ``mask_evals`` / ``scalar_fallbacks`` counters are engine-level
-    observability — deliberately *not* part of :class:`MatchStats`, which
-    must stay identical between engines.
+    ``mask_evals`` / ``pair_rows`` / ``scalar_fallbacks`` counters are
+    engine-level observability — deliberately *not* part of
+    :class:`MatchStats`, which must stay identical between engines.
     """
 
     def __init__(
@@ -152,18 +168,56 @@ class ColumnarExecutor:
         self.kernels = kernels
         #: vectorized predicate-mask evaluations performed.
         self.mask_evals = 0
-        #: per-pair feature computations taken on the scalar fallback path
-        #: (similarity without a kernel).
-        self.scalar_fallbacks = 0
+        # Feature computations the columnar passes made without a kernel.
+        self._column_fallbacks = 0
+        # The per-pair path, built on the first few-row call.
+        self._pairs: Optional[PairRows] = None
 
     # ------------------------------------------------------------- metrics
+
+    @property
+    def scalar_fallbacks(self) -> int:
+        """Feature computations made without a kernel (one per pair and
+        feature), whichever path made them."""
+        pairs = self._pairs
+        if pairs is None:
+            return self._column_fallbacks
+        return self._column_fallbacks + pairs.evaluator.scalar_fallbacks
+
+    @property
+    def pair_rows(self) -> int:
+        """Rows handed to the per-pair path, summed over calls."""
+        return self._pairs.rows if self._pairs is not None else 0
 
     def report_metrics(self, registry) -> None:
         """Fold engine counters into a metrics registry."""
         if self.mask_evals:
             registry.counter("engine.mask_evals").inc(self.mask_evals)
-        if self.scalar_fallbacks:
-            registry.counter("engine.scalar_fallbacks").inc(self.scalar_fallbacks)
+        if self.pair_rows:
+            registry.counter("engine.pair_rows").inc(self.pair_rows)
+        scalar_fallbacks = self.scalar_fallbacks
+        if scalar_fallbacks:
+            registry.counter("engine.scalar_fallbacks").inc(scalar_fallbacks)
+
+    def _per_pair(self) -> PairRows:
+        """The per-pair path, bound to this executor's memo, recorder,
+        stats, profiler, and kernels."""
+        pairs = self._pairs
+        if pairs is None:
+            evaluator = PairEvaluator(
+                self.stats,
+                memo=self.memo,
+                recorder=self.recorder,
+                check_cache_first=self.plan.check_cache_first,
+                profiler=self.profiler,
+                kernels=self.kernels,
+            )
+            pairs = self._pairs = PairRows(
+                evaluator,
+                self.candidates,
+                [rule_step.rule for rule_step in self.plan.rule_steps],
+            )
+        return pairs
 
     # ------------------------------------------------------- trace bridges
 
@@ -205,7 +259,7 @@ class ColumnarExecutor:
         kernels = self.kernels
         if kernels is not None and kernels.supports(feature):
             return kernels.compute_rows(feature, self.candidates, rows)
-        self.scalar_fallbacks += int(rows.size)
+        self._column_fallbacks += int(rows.size)
         candidates = self.candidates
         return np.fromiter(
             (
@@ -393,11 +447,14 @@ class ColumnarExecutor:
         ``plan.rule_steps[start_rule:]``: each rule is evaluated over the
         rows no earlier rule matched; matched rows are recorded via the
         recorder (attribution) and leave the surviving set.  Labels are
-        *not* written — callers own the label array.
+        *not* written — callers own the label array.  A call on at most
+        :data:`PAIR_ROWS` rows runs per pair.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.zeros(0, dtype=bool)
+        if rows.size <= PAIR_ROWS:
+            return self._per_pair().match_rows(rows, start_rule)
         surviving = np.sort(rows)
         matched_parts: List[np.ndarray] = []
         for rule_step in self.plan.rule_steps[start_rule:]:

@@ -5,7 +5,9 @@ Each function is the set-at-a-time counterpart of its scalar twin in
 materialized bitmaps, the same re-evaluation order, the same state
 mutations — but every predicate/rule re-evaluation runs through the
 :class:`~repro.engine.executor.ColumnarExecutor` as one mask pass over
-the affected rows instead of a per-pair Python loop.
+the affected rows instead of a per-pair Python loop (a re-match of at
+most :data:`~repro.engine.executor.PAIR_ROWS` rows runs pair by pair,
+which costs those few rows less).
 
 This is what makes the refinement search's scorer set-at-a-time: each
 candidate edit is one (or a few) vectorized passes over the checkpointed

@@ -128,7 +128,8 @@ def build_labeled_sample(
     hard_indices: List[int] = []
     if hard_wanted > 0:
         hard_indices = _hardest_negatives(candidates, negative_pool, hard_wanted)
-    remaining_pool = [index for index in negative_pool if index not in set(hard_indices)]
+    hard_set = set(hard_indices)
+    remaining_pool = [index for index in negative_pool if index not in hard_set]
     uniform = rng.sample(remaining_pool, min(wanted - len(hard_indices), len(remaining_pool)))
     negative_indices = sorted(hard_indices + uniform)
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.changes import Change
-from ..core.cost_model import CostEstimator, Estimates, per_pair_cost
+from ..core.cost_model import CostEstimator, Estimates, MemoCostPrefix, per_pair_cost
 from ..core.incremental import apply_change
 from ..core.rules import Feature, MatchingFunction, Rule
 from ..core.state import MatchState, StateCheckpoint
@@ -202,6 +202,9 @@ class RefinementReport:
 class _BeamNode:
     candidate: ScoredCandidate
     checkpoint: StateCheckpoint
+    #: the cost objective's per-rule state over ``checkpoint.function``,
+    #: built when the node's first child is priced.
+    cost_prefix: Optional[MemoCostPrefix] = None
 
 
 class RefinementSearch:
@@ -304,13 +307,25 @@ class RefinementSearch:
         tn = len(labels) - tp - fp - fn
         return Confusion(tp, fp, fn, tn)
 
-    def _expected_cost(self, function: MatchingFunction) -> float:
+    def _expected_cost(
+        self, function: MatchingFunction, parent: Optional[_BeamNode] = None
+    ) -> float:
+        """Expected per-pair cost of ``function`` under the configured
+        strategy.  Under ``dynamic_memo`` a child of ``parent`` resumes the
+        parent function's C4 state at the first rule its edit changed
+        (bit-identical to :func:`per_pair_cost`)."""
         if self.estimates is None:
             return 0.0
         try:
-            return per_pair_cost(
-                function, self.estimates, self.config.cost_strategy
-            )
+            if parent is None or self.config.cost_strategy != "dynamic_memo":
+                return per_pair_cost(
+                    function, self.estimates, self.config.cost_strategy
+                )
+            if parent.cost_prefix is None:
+                parent.cost_prefix = MemoCostPrefix(
+                    parent.checkpoint.function, self.estimates
+                )
+            return parent.cost_prefix.cost(function)
         except (EstimationError, KeyError):
             return 0.0
 
@@ -346,13 +361,16 @@ class RefinementSearch:
         )
 
     def _score_current(
-        self, edits: Tuple[Change, ...], outcomes: Tuple[EditOutcome, ...]
+        self,
+        edits: Tuple[Change, ...],
+        outcomes: Tuple[EditOutcome, ...],
+        parent: Optional[_BeamNode] = None,
     ) -> ScoredCandidate:
         return ScoredCandidate(
             edits=edits,
             outcomes=outcomes,
             confusion=self._confusion(self.state.labels),
-            expected_cost=self._expected_cost(self.state.function),
+            expected_cost=self._expected_cost(self.state.function, parent),
         )
 
     def _recover(self) -> None:
@@ -538,6 +556,7 @@ class RefinementSearch:
             return self._score_current(
                 node.candidate.edits + (edit.change,),
                 node.candidate.outcomes + (outcome,),
+                parent=node,
             )
         except ChangeError:
             return None

@@ -12,17 +12,25 @@ blocker matrix covers the same invariant on realistic records.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking import AttributeEquivalenceBlocker, OverlapBlocker
+from repro.blocking import AttributeEquivalenceBlocker, CartesianBlocker, OverlapBlocker
 from repro.core import (
+    AddPredicate,
+    AddRule,
     DynamicMemoMatcher,
     Feature,
     MatchingFunction,
+    MatchStats,
     Predicate,
+    RelaxPredicate,
+    RemovePredicate,
     RemoveRule,
     Rule,
     TightenPredicate,
@@ -32,9 +40,18 @@ from repro.core import (
 from repro.core.matchers import TraceLog
 from repro.core.state import MatchState
 from repro.data import CandidateSet, Record, Table, load_dataset
-from repro.engine import ColumnarMatcher, apply_change_columnar, plan_function
+from repro.engine import (
+    ColumnarExecutor,
+    ColumnarMatcher,
+    apply_change_columnar,
+    plan_function,
+)
+from repro.engine import executor as executor_module
 from repro.engine.executor import validity_groups
+from repro.errors import ChangeError
 from repro.kernels import FeatureKernels
+from repro.observability import Observability, Profiler
+from repro.streaming import Delta, StreamingSession
 from repro.similarity import (
     AbsoluteDifference,
     ExactMatch,
@@ -143,6 +160,22 @@ def function_strategy(draw, pool=FEATURE_POOL):
     return MatchingFunction(rules)
 
 
+#: ``PAIR_ROWS`` values every parity property runs under: 0 sends every
+#: call through the columnar passes; the shipped value sends the few-row
+#: ``match_rows`` calls per pair, which on the generated tables (at most
+#: 5 x 5 pairs) is every one of them.
+PAIR_ROWS_SETTINGS = (0, executor_module.PAIR_ROWS)
+
+
+@contextlib.contextmanager
+def pair_rows_pinned(pair_rows):
+    """``PAIR_ROWS`` set to ``pair_rows`` for the block (Hypothesis tests
+    cannot take the function-scoped ``monkeypatch`` fixture)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor_module, "PAIR_ROWS", pair_rows)
+        yield
+
+
 def cross_product(table_a: Table, table_b: Table) -> CandidateSet:
     return CandidateSet.from_id_pairs(
         table_a,
@@ -200,11 +233,13 @@ def assert_parity(scalar, columnar):
 def test_columnar_matches_scalar(tables, function):
     """Bit-identity across the full flag matrix, partial fallback included."""
     candidates = cross_product(*tables)
-    for check_cache_first, use_kernels, use_bounds in FLAG_MATRIX:
-        scalar, columnar = run_both(
-            function, candidates, check_cache_first, use_kernels, use_bounds
-        )
-        assert_parity(scalar, columnar)
+    for pair_rows in PAIR_ROWS_SETTINGS:
+        with pair_rows_pinned(pair_rows):
+            for check_cache_first, use_kernels, use_bounds in FLAG_MATRIX:
+                scalar, columnar = run_both(
+                    function, candidates, check_cache_first, use_kernels, use_bounds
+                )
+                assert_parity(scalar, columnar)
 
 
 @given(tables=tables_strategy(), function=function_strategy())
@@ -232,28 +267,34 @@ def test_cost_decision_is_consistent(tables, function):
         assert decision.engine == "scalar"
     # whichever engine the model picked, conservation holds
     candidates = cross_product(*tables)
-    scalar, columnar = run_both(function, candidates, True, True, True)
-    assert_parity(scalar, columnar)
+    for pair_rows in PAIR_ROWS_SETTINGS:
+        with pair_rows_pinned(pair_rows):
+            scalar, columnar = run_both(function, candidates, True, True, True)
+        assert_parity(scalar, columnar)
 
 
 @given(tables=tables_strategy(), function=function_strategy(pool=SUPPORTED_POOL))
 @settings(max_examples=25, deadline=None)
 def test_fully_supported_plans_never_fall_back(tables, function):
     """An all-kernel function compiles to a fully supported plan and the
-    executor takes zero scalar fallbacks on it."""
+    executor takes zero scalar fallbacks on it.  ``PAIR_ROWS`` is pinned
+    to 0: the tables are below the per-pair crossover, and the mask
+    counter asserted here is the columnar passes'."""
     candidates = cross_product(*tables)
     kernels = FeatureKernels(use_bounds=True)
     plan = plan_function(function, kernels=kernels)
     assert plan.fully_kernel_supported
     matcher = ColumnarMatcher(kernels=kernels)
-    result = matcher.run(function, candidates)
+    with pair_rows_pinned(0):
+        result = matcher.run(function, candidates)
     assert matcher.last_executor.scalar_fallbacks == 0
     # a mask is evaluated exactly when some row reaches a feature fetch
     # (the bound pre-filter can decide every row of a tiny example)
     assert (matcher.last_executor.mask_evals > 0) == (
         result.stats.predicate_evaluations > 0
     )
-    scalar, columnar = run_both(function, candidates, False, True, True)
+    with pair_rows_pinned(0):
+        scalar, columnar = run_both(function, candidates, False, True, True)
     assert_parity(scalar, columnar)
 
 
@@ -304,6 +345,14 @@ def test_incremental_mirrors_match_scalar(
 ):
     """apply_change vs apply_change_columnar: identical states after an
     edit applied to identically materialized states."""
+    for pair_rows in PAIR_ROWS_SETTINGS:
+        with pair_rows_pinned(pair_rows):
+            incremental_mirrors_match_scalar(
+                tables, function, rule_choice, tighten_by
+            )
+
+
+def incremental_mirrors_match_scalar(tables, function, rule_choice, tighten_by):
     candidates = cross_product(*tables)
     states = []
     for engine in ("scalar", "columnar"):
@@ -390,8 +439,293 @@ def test_dataset_blocker_matrix(dataset_name, blocker_index, use_kernels, use_bo
     if len(candidates) == 0:
         pytest.skip("blocker produced no candidates at this scale")
     function = parse_function(DATASET_FUNCTIONS[dataset_name])
-    for check_cache_first in (False, True):
-        scalar, columnar = run_both(
-            function, candidates, check_cache_first, use_kernels, use_bounds
+    for pair_rows in PAIR_ROWS_SETTINGS:
+        for check_cache_first in (False, True):
+            with pair_rows_pinned(pair_rows):
+                scalar, columnar = run_both(
+                    function, candidates, check_cache_first, use_kernels, use_bounds
+                )
+            assert_parity(scalar, columnar)
+
+
+# ---------------------------------------------------------------------------
+# Mixed evaluation: few-row calls run per pair
+# ---------------------------------------------------------------------------
+
+#: above every fixture size in this module: every call runs per pair.
+ALL_PAIRS = 10_000
+
+#: the engine flags the mixed-evaluation properties sweep.
+KERNEL_FLAGS = [(False, False), (True, False), (True, True)]
+
+EDIT_KINDS = (
+    "tighten",
+    "relax",
+    "add_predicate",
+    "remove_predicate",
+    "add_rule",
+    "remove_rule",
+)
+
+edit_strategy = st.tuples(
+    st.sampled_from(EDIT_KINDS),
+    st.integers(min_value=0, max_value=99),  # rule pick
+    st.integers(min_value=0, max_value=99),  # predicate / feature pick
+    st.sampled_from([0.05, 0.2, 0.4]),  # threshold step
+)
+
+
+def resolve_edit(function, intent, step):
+    """An abstract edit made concrete against ``function`` (None if the
+    draw does not apply to it)."""
+    kind, rule_pick, pick, delta = intent
+    rule = function.rules[rule_pick % len(function.rules)]
+    predicate = rule.predicates[pick % len(rule.predicates)]
+    feature = FEATURE_POOL[pick % len(FEATURE_POOL)]
+    if kind in ("tighten", "relax"):
+        upward = (kind == "tighten") == (predicate.op in (">=", ">"))
+        threshold = predicate.threshold + (delta if upward else -delta)
+        change_class = TightenPredicate if kind == "tighten" else RelaxPredicate
+        change = change_class(rule.name, predicate.slot, threshold)
+    elif kind == "remove_predicate":
+        change = RemovePredicate(rule.name, predicate.slot)
+    elif kind == "add_predicate":
+        change = AddPredicate(rule.name, Predicate(feature, ">=", 0.1 + delta))
+    elif kind == "add_rule":
+        change = AddRule(Rule(f"added{step}", [Predicate(feature, ">=", 0.1 + delta)]))
+    else:
+        change = RemoveRule(rule.name)
+    try:
+        change.validate(function)
+    except ChangeError:
+        return None
+    return change
+
+
+def stats_counters(stats):
+    """Every :class:`MatchStats` counter (the wall-clock fields dropped)."""
+    return {
+        field.name: getattr(stats, field.name)
+        for field in dataclasses.fields(stats)
+        if field.name not in ("elapsed_seconds", "phase_seconds", "worker_timings")
+    }
+
+
+def profiler_counts(profiler):
+    """The profiler's counts: everything but the observed durations."""
+    return (
+        profiler.feature_counts,
+        profiler.rule_counts,
+        profiler.predicate_evals,
+        profiler.predicate_trues,
+        profiler.bound_skips,
+        {name: histogram.count for name, histogram in profiler.feature_costs.items()},
+        {name: histogram.count for name, histogram in profiler.rule_costs.items()},
+    )
+
+
+def state_facts(state):
+    """Labels, attribution, both bitmap families, and the memo."""
+    return (
+        state.labels.tolist(),
+        state.attribution.tolist(),
+        {name: bitmap.tolist() for name, bitmap in state._rule_matched.items()},
+        {key: bitmap.tolist() for key, bitmap in state._predicate_false.items()},
+        sorted(state.memo.items()),
+    )
+
+
+def assert_pair_rows_unobservable(scenario, *args):
+    """``scenario(*args)`` returns the same facts with every call columnar,
+    at the shipped ``PAIR_ROWS``, and with every call per pair."""
+    with pair_rows_pinned(0):
+        columnar = scenario(*args)
+    for pair_rows in (executor_module.PAIR_ROWS, ALL_PAIRS):
+        with pair_rows_pinned(pair_rows):
+            assert scenario(*args) == columnar, pair_rows
+
+
+def edit_and_match_facts(
+    candidates,
+    function,
+    edits,
+    picks,
+    start_rule,
+    check_cache_first,
+    memo_backend,
+    use_kernels,
+    use_bounds,
+):
+    """A columnar state through edits, then one ``match_rows`` call."""
+    profiler = Profiler(sample_every=3)
+    kernels = FeatureKernels(use_bounds=use_bounds) if use_kernels else None
+    state, result = MatchState.from_initial_run(
+        function,
+        candidates,
+        memo_backend=memo_backend,
+        check_cache_first=check_cache_first,
+        profiler=profiler,
+        kernels=kernels,
+        engine="columnar",
+    )
+    facts = [(state_facts(state), stats_counters(result.stats))]
+    for step, intent in enumerate(edits):
+        change = resolve_edit(state.function, intent, step)
+        if change is None:
+            continue
+        observability = Observability()
+        edit = apply_change_columnar(state, change, metrics=observability.metrics)
+        fallbacks = observability.metrics.snapshot().get(
+            "engine.scalar_fallbacks", {"value": 0}
+        )["value"]
+        facts.append((state_facts(state), stats_counters(edit.stats), fallbacks))
+    rows = np.array(
+        list(dict.fromkeys(pick % len(candidates) for pick in picks)), dtype=np.int64
+    )
+    stats = MatchStats()
+    executor = ColumnarExecutor(
+        state.plan,
+        candidates,
+        state.memo,
+        stats,
+        recorder=state,
+        profiler=profiler,
+        kernels=kernels,
+    )
+    mask = executor.match_rows(rows, start_rule % len(state.function.rules))
+    facts.append(
+        (
+            mask.tolist(),
+            executor.scalar_fallbacks,
+            state_facts(state),
+            stats_counters(stats),
+            profiler_counts(profiler),
         )
-        assert_parity(scalar, columnar)
+    )
+    return facts
+
+
+@pytest.mark.parametrize("use_kernels,use_bounds", KERNEL_FLAGS)
+@given(
+    tables=tables_strategy(),
+    function=function_strategy(),
+    edits=st.lists(edit_strategy, min_size=1, max_size=3),
+    picks=st.lists(st.integers(min_value=0, max_value=99), max_size=25),
+    start_rule=st.integers(min_value=0, max_value=7),
+    check_cache_first=st.booleans(),
+    memo_backend=st.sampled_from(["array", "hash"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_pair_rows_leave_identical_state(
+    use_kernels,
+    use_bounds,
+    tables,
+    function,
+    edits,
+    picks,
+    start_rule,
+    check_cache_first,
+    memo_backend,
+):
+    """Per pair vs columnar: a cold run, edits through Algorithms 7-10,
+    then ``match_rows`` on a random row subset from a random rule leave
+    equal labels, attribution, bitmaps, memo, counters, scalar fallbacks,
+    and profiler counts."""
+    assert_pair_rows_unobservable(
+        edit_and_match_facts,
+        cross_product(*tables),
+        function,
+        edits,
+        picks,
+        start_rule,
+        check_cache_first,
+        memo_backend,
+        use_kernels,
+        use_bounds,
+    )
+
+
+def copy_table(table):
+    copy = Table(table.name, ATTRIBUTES)
+    copy.restore(table.snapshot())
+    return copy
+
+
+@st.composite
+def delta_strategy(draw, table_a, table_b):
+    """One applicable :class:`Delta` for the tables."""
+    side = draw(st.sampled_from(["a", "b"]))
+    table = table_a if side == "a" else table_b
+    values = {"name": draw(maybe_value), "code": draw(maybe_value)}
+    ops = ["insert", "update", "delete"] if len(table) > 1 else ["insert", "update"]
+    op = draw(st.sampled_from(ops))
+    if op == "insert":
+        return Delta("insert", side, f"{side}new", values)
+    record_id = draw(st.sampled_from([record.record_id for record in table]))
+    if op == "delete":
+        return Delta.delete(side, record_id)
+    return Delta("update", side, record_id, values)
+
+
+@st.composite
+def ingest_strategy(draw):
+    table_a, table_b = draw(tables_strategy())
+    return table_a, table_b, draw(delta_strategy(table_a, table_b))
+
+
+def ingest_facts(
+    tables, function, delta, check_cache_first, memo_backend, use_kernels, use_bounds
+):
+    """A columnar streaming session after one single-delta ingest."""
+    observability = Observability(profile=True, sample_every=3)
+    stream = StreamingSession(
+        copy_table(tables[0]),
+        copy_table(tables[1]),
+        CartesianBlocker(),
+        function,
+        ordering="original",
+        engine="columnar",
+        memo_backend=memo_backend,
+        use_kernels=use_kernels,
+        use_bounds=use_bounds,
+        check_cache_first=check_cache_first,
+        observability=observability,
+    )
+    stream.run()
+    batch = stream.ingest(delta)
+    fallbacks = observability.metrics.snapshot().get(
+        "engine.scalar_fallbacks", {"value": 0}
+    )["value"]
+    return (
+        state_facts(stream.session.state),
+        stats_counters(batch.stats),
+        batch.affected_indices,
+        fallbacks,
+        profiler_counts(observability.profiler),
+    )
+
+
+@pytest.mark.parametrize("use_kernels,use_bounds", KERNEL_FLAGS)
+@given(
+    scenario=ingest_strategy(),
+    function=function_strategy(),
+    check_cache_first=st.booleans(),
+    memo_backend=st.sampled_from(["array", "hash"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pair_rows_leave_identical_ingest(
+    use_kernels, use_bounds, scenario, function, check_cache_first, memo_backend
+):
+    """Per pair vs columnar: a cold run and one streaming ingest leave
+    equal state, batch counters, scalar fallbacks, and profiler counts."""
+    table_a, table_b, delta = scenario
+    assert_pair_rows_unobservable(
+        ingest_facts,
+        (table_a, table_b),
+        function,
+        delta,
+        check_cache_first,
+        memo_backend,
+        use_kernels,
+        use_bounds,
+    )

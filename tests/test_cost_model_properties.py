@@ -23,7 +23,7 @@ from repro.core import (
     update_alpha,
 )
 from repro.core.analysis import tsp_ordering
-from repro.core.cost_model import Estimates
+from repro.core.cost_model import Estimates, MemoCostPrefix
 from repro.core.ordering import (
     greedy_cost_ordering,
     greedy_reduction_ordering,
@@ -100,6 +100,34 @@ def function_strategy(draw):
         ]
         rules.append(Rule(f"r{rule_index}", predicates))
     return MatchingFunction(rules)
+
+
+def edited_functions(function):
+    """Every single-rule edit shape of ``function``: each rule replaced
+    (its first predicate's threshold moved), removed, and a rule added at
+    the end."""
+    rules = function.rules
+    for index, rule in enumerate(rules):
+        first = rule.predicates[0]
+        moved = first.with_threshold(min(first.threshold + 0.25, 1.0))
+        yield function.with_rule_replaced(
+            rule.with_predicates([moved, *rule.predicates[1:]])
+        )
+        if len(rules) > 1:
+            yield function.with_rule_removed(rule.name)
+    yield function.with_rule_added(Rule("added", rules[0].predicates[::-1]))
+
+
+@given(estimates=estimates_strategy(), function=function_strategy())
+@settings(max_examples=60, deadline=None)
+def test_resumed_memo_cost_is_bit_identical(estimates, function):
+    """C4 resumed at the first changed rule equals C4 of the whole edited
+    function exactly (float ==), for every edit shape the refinement
+    search prices."""
+    prefix = MemoCostPrefix(function, estimates)
+    assert prefix.cost(function) == function_cost_with_memo(function, estimates)
+    for edited in edited_functions(function):
+        assert prefix.cost(edited) == function_cost_with_memo(edited, estimates)
 
 
 @given(estimates=estimates_strategy(), function=function_strategy())

@@ -38,6 +38,7 @@ from repro.engine import (
     apply_change_columnar,
     plan_function,
 )
+from repro.engine import executor as executor_module
 from repro.engine.plan import PlanSpec
 from repro.errors import MatchingError, ParallelExecutionError, RefinementError
 from repro.kernels import FeatureKernels
@@ -80,6 +81,13 @@ def supported_function():
 @pytest.fixture()
 def mixed_function():
     return parse_function(MIXED_DSL)
+
+
+@pytest.fixture()
+def all_columnar(monkeypatch):
+    """Pin ``PAIR_ROWS`` to 0: these fixtures sit below the per-pair
+    crossover, and the tests using this assert on columnar counters."""
+    monkeypatch.setattr(executor_module, "PAIR_ROWS", 0)
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +230,7 @@ class TestColumnarMatcher:
     def test_strategy_name(self):
         assert ColumnarMatcher().strategy_name == "columnar"
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_supported_plan_takes_no_fallbacks(
         self, supported_function, people_candidates
     ):
@@ -235,6 +244,7 @@ class TestColumnarMatcher:
         ).run(supported_function, people_candidates)
         assert np.array_equal(result.labels, scalar.labels)
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_mixed_plan_falls_back_per_step(
         self, mixed_function, people_candidates
     ):
@@ -247,6 +257,7 @@ class TestColumnarMatcher:
         ).run(mixed_function, people_candidates)
         assert np.array_equal(result.labels, scalar.labels)
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_report_metrics_folds_counters(
         self, mixed_function, people_candidates
     ):
@@ -355,6 +366,7 @@ class TestSessionEngine:
         assert plan.check_cache_first == session.check_cache_first
         assert plan.fully_kernel_supported
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_run_reports_engine_metrics(self, people_candidates):
         observability = Observability()
         session = DebugSession(
@@ -586,6 +598,7 @@ class TestParallelTransport:
         assert task.engine == "scalar"
         assert task.plan_spec is None
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_worker_runs_columnar_chunk(self, people_candidates):
         function = parse_function(SUPPORTED_DSL)
         kernels = FeatureKernels(use_bounds=True)
@@ -611,6 +624,7 @@ class TestParallelTransport:
         with pytest.raises(ParallelExecutionError, match="engine must be"):
             ParallelMatcher(workers=2, engine="simd")
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_worker_bind_cache_reuses_plan(self, people_candidates):
         import dataclasses
 
@@ -637,6 +651,7 @@ class TestParallelTransport:
         third = run_chunk(dataclasses.replace(task, run_token=990002))
         assert third.plan_binds == 1 and third.plan_cache_hits == 0
 
+    @pytest.mark.usefixtures("all_columnar")
     def test_worker_auto_matches_serial(self, people_candidates):
         function = parse_function(MIXED_DSL)
         kernels = FeatureKernels(use_bounds=True)

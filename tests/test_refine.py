@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import (
     AddRule,
+    CostEstimator,
     DebugSession,
     DynamicMemoMatcher,
     Feature,
@@ -23,6 +24,7 @@ from repro.core import (
     RemoveRule,
     Rule,
     TightenPredicate,
+    per_pair_cost,
 )
 from repro.data import CandidateSet, Record, Table
 from repro.errors import RefinementError, StateError
@@ -421,6 +423,47 @@ class TestRefinementSearch:
             assert len(entry.outcomes) == len(entry.edits)
             for outcome in entry.outcomes:
                 assert outcome.fixed >= 0 and outcome.broken >= 0
+
+    def test_every_expected_cost_is_the_whole_function_price(self, small_workload):
+        """The cost objective resumes each parent's per-rule state, and
+        still prices every scored candidate exactly (float ==) as
+        ``per_pair_cost`` prices its whole edited function."""
+        session = DebugSession(
+            small_workload.candidates,
+            small_workload.function,
+            gold=small_workload.gold,
+            ordering="original",
+            estimator=CostEstimator(seed=3, mode="calibrated"),
+            engine="columnar",
+        )
+        session.run()
+        scored = []
+
+        class Recording(RefinementSearch):
+            def _score_edit(self, node, edit):
+                candidate = super()._score_edit(node, edit)
+                if candidate is not None:
+                    scored.append(candidate)
+                return candidate
+
+        search = Recording(
+            session.state,
+            small_workload.gold,
+            config=RefineConfig(budget=80, beam_width=2, max_depth=2),
+            kernels=session.kernels,
+            engine="columnar",
+        )
+        search.run()
+        assert {len(candidate.edits) for candidate in scored} == {1, 2}
+        assert len({type(c.edits[-1]) for c in scored}) >= 3
+        base = session.state.function
+        for candidate in scored:
+            function = base
+            for change in candidate.edits:
+                function = change.apply_to(function)
+            assert candidate.expected_cost == per_pair_cost(
+                function, search.estimates, search.config.cost_strategy
+            )
 
     def test_expected_cost_populated_on_frontier(self):
         candidates, function, gold = build_numeric_task()
