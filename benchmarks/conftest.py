@@ -14,23 +14,13 @@ per-figure comparison tables printed by each module.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 import pytest
 
-from repro.core import (
-    AddPredicate,
-    AddRule,
-    Change,
-    CostEstimator,
-    MatchingFunction,
-    RelaxPredicate,
-    RemovePredicate,
-    RemoveRule,
-    Rule,
-    TightenPredicate,
-)
+from repro.core import CostEstimator, MatchingFunction
 from repro.learning import Workload, build_workload
+from repro.reporting import random_change  # noqa: F401 (re-exported to the benches)
 
 #: candidate-pair budget for timing sweeps (keeps one full DM run ~1s).
 BENCH_PAIRS = 2500
@@ -68,61 +58,6 @@ def rule_subset(
     names = [rule.name for rule in function.rules]
     chosen = rng.sample(names, min(size, len(names)))
     return function.subset(chosen)
-
-
-def random_change(
-    kind: str, rules: Sequence[Rule], rng: random.Random
-) -> Optional[Change]:
-    """One random edit of ``kind`` by the paper's §7.6 protocol, drawn
-    from ``rules`` by position, or ``None`` when the draw does not apply.
-
-    Tighten/relax move a threshold by one of {0.1, ..., 0.5}, clamped to
-    keep it in [0, 1]; add-predicate borrows a donor rule's predicate on a
-    free slot; add-rule is a renamed copy of a donor rule.  Callers still
-    validate the change against their function.
-    """
-    rule = rules[rng.randrange(len(rules))]
-    predicate = rule.predicates[rng.randrange(len(rule.predicates))]
-    lower_bound = predicate.op in (">=", ">")
-    delta = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
-    if kind == "tighten":
-        threshold = (
-            min(1.0, predicate.threshold + delta)
-            if lower_bound
-            else max(0.0, predicate.threshold - delta)
-        )
-        return TightenPredicate(rule.name, predicate.slot, threshold)
-    if kind == "relax":
-        threshold = (
-            max(-0.001, predicate.threshold - delta)
-            if lower_bound
-            else min(1.001, predicate.threshold + delta)
-        )
-        return RelaxPredicate(rule.name, predicate.slot, threshold)
-    if kind == "remove_predicate":
-        if len(rule.predicates) < 2:
-            return None
-        return RemovePredicate(rule.name, predicate.slot)
-    if kind == "add_predicate":
-        # Re-add a predicate borrowed from another rule, as the paper does
-        # (remove it, rematch, add it back — here we just add a foreign
-        # predicate whose slot is free).
-        donor = rules[rng.randrange(len(rules))]
-        candidate = donor.predicates[rng.randrange(len(donor.predicates))]
-        taken = {p.slot for p in rule.predicates}
-        if candidate.slot in taken:
-            return None
-        return AddPredicate(rule.name, candidate)
-    if kind == "remove_rule":
-        if len(rules) < 2:
-            return None
-        return RemoveRule(rule.name)
-    if kind == "add_rule":
-        donor = rules[rng.randrange(len(rules))]
-        clone = donor.with_predicates(donor.predicates)
-        renamed = type(clone)(f"new_{rng.randrange(10**9)}", clone.predicates)
-        return AddRule(renamed)
-    raise AssertionError(kind)
 
 
 def print_series(title: str, header: List[str], rows: List[List[object]]) -> None:

@@ -71,7 +71,6 @@ from .engine import (
     ColumnarExecutor,
     ColumnarMatcher,
     MatchPlan,
-    apply_change_columnar,
     plan_function,
 )
 from .errors import ReproError
@@ -103,8 +102,7 @@ __all__ = [
     "Change", "AddPredicate", "RemovePredicate", "TightenPredicate",
     "RelaxPredicate", "AddRule", "RemoveRule", "apply_change",
     # columnar engine
-    "ColumnarExecutor", "ColumnarMatcher", "MatchPlan",
-    "apply_change_columnar", "plan_function",
+    "ColumnarExecutor", "ColumnarMatcher", "MatchPlan", "plan_function",
     # data & blocking
     "Record", "Table", "CandidateSet", "Dataset",
     "CartesianBlocker", "AttributeEquivalenceBlocker", "OverlapBlocker",

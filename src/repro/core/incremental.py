@@ -5,6 +5,32 @@ Each function takes a live :class:`~repro.core.state.MatchState` and one
 memo, and bitmaps in place, and returns an :class:`IncrementalResult`
 with the work counters.  :func:`apply_change` dispatches by change type.
 
+Row evaluators
+--------------
+Each algorithm is written once, over the int64 row arrays it reads off
+the bitmaps, against a *row evaluator* with three methods:
+
+* ``predicate_rows(predicate, rule_name, rows)`` — the rows of ``rows``
+  (sorted in, sorted out) on which one predicate holds, recording the
+  false ones into the state;
+* ``match_rows(rows, start_rule)`` — a bool mask aligned with ``rows``:
+  whether some rule from position ``start_rule`` on is true, the first
+  true rule recorded as the pair's attribution (labels are the
+  algorithm's to write);
+* ``report_metrics(registry)`` — fold the evaluator's engine counters
+  into a metrics registry.
+
+:meth:`MatchState.evaluator` builds one per edit, after the edit is
+applied to the function.  ``engine="scalar"`` gives a
+:class:`~repro.core.matchers.PairRows`, which walks the rows pair by pair
+through :class:`~repro.core.matchers.PairEvaluator` and never reads the
+state's plan; ``engine="columnar"`` a :class:`~repro.engine.ColumnarExecutor`
+over the state's plan (patched to the edited function by that read),
+which evaluates the rows as mask passes.  Both leave identical labels,
+bitmaps, memo, and counters: pairs are independent and the memo is keyed
+per (pair, feature), so visiting the rows predicate by predicate instead
+of pair by pair changes no per-pair outcome and no counter sum.
+
 Soundness argument (and one fix to the paper)
 ---------------------------------------------
 All four algorithms restrict re-evaluation using materialized facts:
@@ -38,8 +64,8 @@ within a few examples if this extension is disabled.)
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -53,9 +79,7 @@ from .changes import (
     RemoveRule,
     TightenPredicate,
 )
-from .matchers import PairEvaluator
-from .rules import MatchingFunction, Predicate, Rule
-from .state import MatchState
+from .state import MatchState, check_engine
 from .stats import MatchStats
 
 
@@ -86,26 +110,28 @@ class IncrementalResult:
         return f"IncrementalResult({self.summary()})"
 
 
-def _evaluator(state: MatchState, stats: MatchStats) -> PairEvaluator:
-    return PairEvaluator(
-        stats,
-        memo=state.memo,
-        recorder=state,
-        check_cache_first=state.check_cache_first,
-        kernels=state.kernels,
-    )
+def _start(state: MatchState, change: Change, engine: str) -> Tuple[float, MatchStats]:
+    """Check the edit and the engine before anything changes."""
+    started = time.perf_counter()
+    check_engine(engine)
+    change.validate(state.function)
+    return started, MatchStats()
 
 
 def _finish(
     change: Change,
     stats: MatchStats,
     started: float,
+    evaluator,
+    metrics,
     affected: int,
     newly_matched: int,
     newly_unmatched: int,
 ) -> IncrementalResult:
     stats.elapsed_seconds = time.perf_counter() - started
     stats.pairs_evaluated = affected
+    if metrics is not None:
+        evaluator.report_metrics(metrics)
     return IncrementalResult(
         change=change,
         stats=stats,
@@ -120,16 +146,16 @@ def _finish(
 # ---------------------------------------------------------------------------
 
 
-def apply_strictening(state: MatchState, change: Change) -> IncrementalResult:
+def apply_strictening(
+    state: MatchState, change: Change, engine: str = "scalar", metrics=None
+) -> IncrementalResult:
     """Algorithm 7: the rule's true-set can only shrink.
 
     Re-evaluate the changed predicate on M(r); pairs that fail fall
     through to the rules after r.  Existing predicate-false bits remain
     sound under tightening (false stays false), so nothing is reset.
     """
-    started = time.perf_counter()
-    stats = MatchStats()
-    change.validate(state.function)
+    started, stats = _start(state, change, engine)
     if isinstance(change, AddPredicate):
         rule_name, changed_slot = change.rule_name, change.predicate.slot
     elif isinstance(change, TightenPredicate):
@@ -137,25 +163,27 @@ def apply_strictening(state: MatchState, change: Change) -> IncrementalResult:
     else:
         raise ChangeError(f"apply_strictening cannot handle {change!r}")
 
-    affected = state.matched_by_rule(rule_name)
+    affected = state.matched_rows(rule_name)
     state.function = change.apply_to(state.function)
-    rule = state.function.rule(rule_name)
-    changed_predicate = rule.predicate_by_slot(changed_slot)
+    changed_predicate = state.function.rule(rule_name).predicate_by_slot(changed_slot)
     rule_position = state.function.rule_index(rule_name)
-    later_rules = state.function.rules[rule_position + 1 :]
 
-    evaluator = _evaluator(state, stats)
+    evaluator = state.evaluator(stats, engine)
     newly_unmatched = 0
-    for pair_index in affected:
-        pair = state.candidates[pair_index]
-        if evaluator.predicate_true(pair, changed_predicate, rule_name):
-            continue  # still matched by this rule
-        state.clear_rule_match(pair_index, rule_name)
-        if evaluator.first_matching_rule(pair, later_rules) is None:
-            state.labels[pair_index] = False
-            newly_unmatched += 1
-        # else: first_matching_rule already recorded the new attribution.
-    return _finish(change, stats, started, len(affected), 0, newly_unmatched)
+    # Most edits touch no pair; skipping the array calls keeps those cheap.
+    if affected.size:
+        passing = evaluator.predicate_rows(changed_predicate, rule_name, affected)
+        failing = np.setdiff1d(affected, passing, assume_unique=True)
+        if failing.size:
+            state.clear_rule_match_rows(failing, rule_name)
+            # match_rows records the new attribution of the re-matched pairs.
+            fell_out = failing[~evaluator.match_rows(failing, rule_position + 1)]
+            state.labels[fell_out] = False
+            newly_unmatched = int(fell_out.size)
+    return _finish(
+        change, stats, started, evaluator, metrics, int(affected.size), 0,
+        newly_unmatched,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +191,9 @@ def apply_strictening(state: MatchState, change: Change) -> IncrementalResult:
 # ---------------------------------------------------------------------------
 
 
-def apply_loosening(state: MatchState, change: Change) -> IncrementalResult:
+def apply_loosening(
+    state: MatchState, change: Change, engine: str = "scalar", metrics=None
+) -> IncrementalResult:
     """Algorithm 8: the rule's true-set can only grow.
 
     Candidates to flip are the pairs on which the edited predicate was
@@ -176,9 +206,7 @@ def apply_loosening(state: MatchState, change: Change) -> IncrementalResult:
     observations: a relax makes old false-bits unverifiable, so bits are
     kept only where re-evaluation confirms falseness.
     """
-    started = time.perf_counter()
-    stats = MatchStats()
-    change.validate(state.function)
+    started, stats = _start(state, change, engine)
     if isinstance(change, RemovePredicate):
         rule_name, slot, removed = change.rule_name, change.slot, True
     elif isinstance(change, RelaxPredicate):
@@ -186,16 +214,15 @@ def apply_loosening(state: MatchState, change: Change) -> IncrementalResult:
     else:
         raise ChangeError(f"apply_loosening cannot handle {change!r}")
 
-    failed = state.failed_predicate(rule_name, slot)
+    failed = state.failed_rows(rule_name, slot)
     state.function = change.apply_to(state.function)
     rule = state.function.rule(rule_name)
     rule_position = state.function.rule_index(rule_name)
-    relaxed_predicate: Optional[Predicate] = (
-        None if removed else rule.predicate_by_slot(slot)
-    )
-    other_predicates = tuple(
-        predicate for predicate in rule.predicates if predicate.slot != slot
-    )
+    # The edited predicate first, then the rest of the rule.  The paper's
+    # §6.2.2 footnote: with check-cache-first the historical predicate
+    # order is pair-dependent, so all other predicates are re-checked.
+    relaxed = () if removed else (rule.predicate_by_slot(slot),)
+    others = tuple(predicate for predicate in rule.predicates if predicate.slot != slot)
 
     if removed:
         state.drop_predicate(rule_name, slot)
@@ -204,43 +231,39 @@ def apply_loosening(state: MatchState, change: Change) -> IncrementalResult:
         # what this pass re-verifies.
         state.reset_predicate_false(rule_name, slot)
 
-    evaluator = _evaluator(state, stats)
+    evaluator = state.evaluator(stats, engine)
+    examined = failed
+    if failed.size:
+        # Skip pairs matched by this rule or an earlier one: the invariant
+        # only covers rules before the attribution, which don't include r.
+        skip = state.labels[failed] & (state.attribution[failed] <= rule_position)
+        examined = failed[~skip]
+    rows = examined
+    for predicate in relaxed + others:
+        if rows.size == 0:
+            break
+        rows = evaluator.predicate_rows(predicate, rule_name, rows)
+
     newly_matched = 0
-    examined = 0
-    for pair_index in failed:
-        currently_matched = bool(state.labels[pair_index])
-        attributed = int(state.attribution[pair_index])
-        if currently_matched and attributed <= rule_position:
-            # Matched by this rule or an earlier one: the invariant only
-            # covers rules before the attribution, which don't include r.
-            continue
-        examined += 1
-        pair = state.candidates[pair_index]
-        if relaxed_predicate is not None and not evaluator.predicate_true(
-            pair, relaxed_predicate, rule_name
-        ):
-            continue  # still false (bit re-recorded by the evaluator)
-        # Edited predicate passes; check the rest of the rule.  The paper's
-        # §6.2.2 footnote: with check-cache-first the historical predicate
-        # order is pair-dependent, so all other predicates are re-checked.
-        rule_true = True
-        for predicate in other_predicates:
-            if not evaluator.predicate_true(pair, predicate, rule_name):
-                rule_true = False
-                break
-        if not rule_true:
-            continue
-        if currently_matched:
-            # Re-attribution: r precedes the current attribution.
-            state.clear_rule_match(
-                pair_index, state.function.rules[attributed].name
+    if rows.size:  # (recording no rows would still allocate r's bitmap)
+        currently_matched = state.labels[rows]
+        # Re-attribution (r precedes the current attribution), grouped by
+        # the old attributed rule so each group's bitmap clears in one write.
+        re_attributed = rows[currently_matched]
+        old_attrs = state.attribution[re_attributed]
+        for old_index in np.unique(old_attrs):
+            state.clear_rule_match_rows(
+                re_attributed[old_attrs == old_index],
+                state.function.rules[int(old_index)].name,
             )
-            state.record_rule_match(pair_index, rule_name)
-        else:
-            state.record_rule_match(pair_index, rule_name)
-            state.labels[pair_index] = True
-            newly_matched += 1
-    return _finish(change, stats, started, examined, newly_matched, 0)
+        state.record_rule_match_rows(rows, rule_name)
+        fresh = rows[~currently_matched]
+        state.labels[fresh] = True
+        newly_matched = int(fresh.size)
+    return _finish(
+        change, stats, started, evaluator, metrics, int(examined.size),
+        newly_matched, 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,30 +271,31 @@ def apply_loosening(state: MatchState, change: Change) -> IncrementalResult:
 # ---------------------------------------------------------------------------
 
 
-def apply_remove_rule(state: MatchState, change: RemoveRule) -> IncrementalResult:
+def apply_remove_rule(
+    state: MatchState, change: RemoveRule, engine: str = "scalar", metrics=None
+) -> IncrementalResult:
     """Algorithm 9: pairs matched by the removed rule fall through to the
     rules after it (earlier rules are false by the attribution invariant)."""
-    started = time.perf_counter()
-    stats = MatchStats()
-    change.validate(state.function)
+    started, stats = _start(state, change, engine)
     rule_name = change.rule_name
-    affected = state.matched_by_rule(rule_name)
+    affected = state.matched_rows(rule_name)
     old_index = state.function.rule_index(rule_name)
     state.function = change.apply_to(state.function)
     state.drop_rule(rule_name, old_index)
-    # Positions shifted down by one for rules after the removed one.
-    later_rules = state.function.rules[old_index:]
 
-    evaluator = _evaluator(state, stats)
+    evaluator = state.evaluator(stats, engine)
     newly_unmatched = 0
-    for pair_index in affected:
-        # drop_rule cleared the bitmap wholesale; fix this pair's entry.
-        state.attribution[pair_index] = -1
-        pair = state.candidates[pair_index]
-        if evaluator.first_matching_rule(pair, later_rules) is None:
-            state.labels[pair_index] = False
-            newly_unmatched += 1
-    return _finish(change, stats, started, len(affected), 0, newly_unmatched)
+    if affected.size:
+        # drop_rule cleared the bitmap wholesale; fix these pairs' entries.
+        state.attribution[affected] = -1
+        # Positions shifted down by one for rules after the removed one.
+        fell_out = affected[~evaluator.match_rows(affected, old_index)]
+        state.labels[fell_out] = False
+        newly_unmatched = int(fell_out.size)
+    return _finish(
+        change, stats, started, evaluator, metrics, int(affected.size), 0,
+        newly_unmatched,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +303,9 @@ def apply_remove_rule(state: MatchState, change: RemoveRule) -> IncrementalResul
 # ---------------------------------------------------------------------------
 
 
-def apply_add_rule(state: MatchState, change: AddRule) -> IncrementalResult:
+def apply_add_rule(
+    state: MatchState, change: AddRule, engine: str = "scalar", metrics=None
+) -> IncrementalResult:
     """Algorithm 10: evaluate only the new rule, only on unmatched pairs.
 
     The new rule is appended at the end of the evaluation order, so for
@@ -287,21 +313,17 @@ def apply_add_rule(state: MatchState, change: AddRule) -> IncrementalResult:
     fires first), and for unmatched pairs every older rule is already
     known false.
     """
-    started = time.perf_counter()
-    stats = MatchStats()
-    change.validate(state.function)
-    affected = state.unmatched_indices()
+    started, stats = _start(state, change, engine)
+    affected = state.unmatched_rows()
     state.function = change.apply_to(state.function)
-    new_rules = (state.function.rules[-1],)
 
-    evaluator = _evaluator(state, stats)
-    newly_matched = 0
-    for pair_index in affected:
-        pair = state.candidates[pair_index]
-        if evaluator.first_matching_rule(pair, new_rules) is not None:
-            state.labels[pair_index] = True
-            newly_matched += 1
-    return _finish(change, stats, started, len(affected), newly_matched, 0)
+    evaluator = state.evaluator(stats, engine)
+    won = affected[evaluator.match_rows(affected, len(state.function.rules) - 1)]
+    state.labels[won] = True
+    return _finish(
+        change, stats, started, evaluator, metrics, int(affected.size),
+        int(won.size), 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +331,24 @@ def apply_add_rule(state: MatchState, change: AddRule) -> IncrementalResult:
 # ---------------------------------------------------------------------------
 
 
-def apply_change(state: MatchState, change: Change) -> IncrementalResult:
-    """Apply any change with its matching incremental algorithm."""
+def apply_change(
+    state: MatchState, change: Change, engine: str = "scalar", metrics=None
+) -> IncrementalResult:
+    """Apply any change with its matching incremental algorithm.
+
+    ``engine`` (``"scalar"`` or ``"columnar"``) picks the row evaluator
+    the algorithm runs against; labels, state, and counters are identical
+    either way.  ``metrics`` (a metrics registry) optionally receives the
+    evaluator's ``engine.*`` counters.
+    """
     if isinstance(change, (AddPredicate, TightenPredicate)):
-        return apply_strictening(state, change)
-    if isinstance(change, (RemovePredicate, RelaxPredicate)):
-        return apply_loosening(state, change)
-    if isinstance(change, RemoveRule):
-        return apply_remove_rule(state, change)
-    if isinstance(change, AddRule):
-        return apply_add_rule(state, change)
-    raise ChangeError(f"no incremental algorithm for {type(change).__name__}")
+        algorithm = apply_strictening
+    elif isinstance(change, (RemovePredicate, RelaxPredicate)):
+        algorithm = apply_loosening
+    elif isinstance(change, RemoveRule):
+        algorithm = apply_remove_rule
+    elif isinstance(change, AddRule):
+        algorithm = apply_add_rule
+    else:
+        raise ChangeError(f"no incremental algorithm for {type(change).__name__}")
+    return algorithm(state, change, engine, metrics)

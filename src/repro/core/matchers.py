@@ -21,8 +21,9 @@ they differ only in *when* feature values are computed, which the
 :class:`PairEvaluator` is the shared evaluation kernel — also reused by the
 incremental algorithms (§6), which re-evaluate rule fragments for affected
 pairs with exactly the same memo/recording semantics as a full run.
-:class:`PairRows` puts it behind the columnar executor's ``match_rows``
-signature, which is how the executor runs its few-row calls pair by pair.
+:class:`PairRows` puts it behind the row-evaluator protocol of
+:mod:`repro.core.incremental` — the scalar engine of those algorithms, and
+how the columnar executor runs its few-row calls pair by pair.
 """
 
 from __future__ import annotations
@@ -331,16 +332,18 @@ class PairEvaluator:
 
 
 class PairRows:
-    """A :class:`PairEvaluator` behind the columnar executor's row signature.
+    """A :class:`PairEvaluator` behind the row-evaluator protocol.
 
-    :meth:`match_rows` takes and returns what
-    :meth:`~repro.engine.ColumnarExecutor.match_rows` does — an int64 row
-    array in, a bool mask aligned with it out — but walks the rows one
-    pair at a time.  Per pair the two paths leave the same labels, trace
-    facts, memo entries, counters, and profiler counts, so the executor
-    hands few-row calls here: a pair costs a few dict lookups per
-    predicate, where a columnar rule step pays a fixed NumPy cost however
-    few rows it holds.
+    :meth:`predicate_rows` and :meth:`match_rows` take and return what
+    their :class:`~repro.engine.ColumnarExecutor` namesakes do — int64
+    rows in, surviving rows or a bool mask aligned with them out — but
+    walk the rows one pair at a time.  Per pair the two paths leave the
+    same labels, trace facts, memo entries, counters, and profiler
+    counts.  This is the scalar engine of Algorithms 7-10 and of the
+    streaming re-match (:meth:`~repro.core.state.MatchState.evaluator`),
+    and the executor hands its few-row ``match_rows`` calls here: a pair
+    costs a few dict lookups per predicate, where a columnar rule step
+    pays a fixed NumPy cost however few rows it holds.
     """
 
     __slots__ = ("evaluator", "candidates", "rules", "rows")
@@ -351,8 +354,26 @@ class PairRows:
         self.evaluator = evaluator
         self.candidates = candidates
         self.rules = tuple(rules)
-        #: rows handed to this adapter, summed over calls.
+        #: rows handed to :meth:`match_rows`, summed over calls.
         self.rows = 0
+
+    def predicate_rows(
+        self, predicate: Predicate, rule_name: str, rows: np.ndarray
+    ) -> np.ndarray:
+        """The rows of ``rows`` on which ``predicate`` holds, in their
+        order; false outcomes are recorded."""
+        rows = np.asarray(rows, dtype=np.int64)
+        candidates = self.candidates
+        predicate_true = self.evaluator.predicate_true
+        return rows[
+            np.array(
+                [
+                    predicate_true(candidates[row], predicate, rule_name)
+                    for row in rows.tolist()
+                ],
+                dtype=bool,
+            )
+        ]
 
     def match_rows(self, rows: np.ndarray, start_rule: int = 0) -> np.ndarray:
         """Match labels for ``rows`` over ``rules[start_rule:]``, as a bool
@@ -370,6 +391,9 @@ class PairRows:
             ],
             dtype=bool,
         )
+
+    def report_metrics(self, registry) -> None:
+        """Nothing to fold: the per-pair path keeps no engine counters."""
 
 
 class Matcher:

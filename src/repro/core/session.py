@@ -371,25 +371,18 @@ class DebugSession:
     def apply(self, change: Change) -> IncrementalResult:
         """Apply one edit incrementally (Algorithms 7-10).
 
-        With a columnar engine the affected pairs run through the
-        set-at-a-time executor (:mod:`repro.engine.incremental`); the
-        resulting state is bit-identical to the scalar algorithms.  A
-        columnar edit runs under the state's plan patched to the edited
-        function (only the edited rule is re-planned); a scalar edit never
-        reads the plan."""
+        The affected pairs run through the session's engine: the
+        set-at-a-time executor or the per-pair evaluator, with
+        bit-identical resulting state.  A columnar edit runs under the
+        state's plan patched to the edited function (only the edited rule
+        is re-planned); a scalar edit never reads the plan."""
         state = self._require_state()
-        if self._engine_for(state) == "columnar":
-            from ..engine import apply_change_columnar
-
-            result = apply_change_columnar(
-                state,
-                change,
-                metrics=(
-                    self.observability.metrics if self.observability else None
-                ),
-            )
-        else:
-            result = apply_change(state, change)
+        result = apply_change(
+            state,
+            change,
+            self._engine_for(state),
+            metrics=self.observability.metrics if self.observability else None,
+        )
         self.history.append(result)
         if self.paranoid:
             scratch = DynamicMemoMatcher().run(state.function, self.candidates)

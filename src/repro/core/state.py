@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.pairs import CandidateSet
-from ..errors import StateError
-from .matchers import DynamicMemoMatcher, MatchResult
+from ..errors import MatchingError, StateError
+from .matchers import DynamicMemoMatcher, MatchResult, PairEvaluator, PairRows
 from .memo import ArrayMemo, FeatureMemo, HashMemo
 from .rules import MatchingFunction
 from .stats import MatchStats
@@ -48,6 +48,14 @@ from .stats import MatchStats
 SlotKey = Tuple[str, str]
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def check_engine(engine: str) -> None:
+    """Reject an engine :meth:`MatchState.evaluator` cannot build."""
+    if engine not in ("scalar", "columnar"):
+        raise MatchingError(
+            f"engine must be 'scalar' or 'columnar', got {engine!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,7 @@ class MatchState:
         :class:`~repro.engine.MatchPlan` for ``function``) becomes the
         state's plan and drives the columnar run.
         """
+        check_engine(engine)
         if memo is None:
             names = [feature.name for feature in function.features()]
             memo = (
@@ -215,6 +224,44 @@ class MatchState:
         return state, result
 
     # ------------------------------------------------------------------
+    # Row evaluators (the engine a re-evaluation runs on)
+    # ------------------------------------------------------------------
+
+    def evaluator(self, stats: MatchStats, engine: str, profiler=None):
+        """A row evaluator over this state's function as it is now.
+
+        The protocol Algorithms 7-10 and the streaming re-match run
+        against (see :mod:`repro.core.incremental`): ``"scalar"`` gives a
+        :class:`~repro.core.matchers.PairRows` over the function's rules,
+        which never reads :attr:`plan`; ``"columnar"`` a
+        :class:`~repro.engine.ColumnarExecutor` over :attr:`plan`.  Build
+        it after an edit is applied to :attr:`function`.  Either records
+        into this state and counts into ``stats`` (and ``profiler``).
+        """
+        if engine == "columnar":
+            from ..engine import ColumnarExecutor  # local: avoids an import cycle
+
+            return ColumnarExecutor(
+                self.plan,
+                self.candidates,
+                self.memo,
+                stats,
+                recorder=self,
+                profiler=profiler,
+                kernels=self.kernels,
+            )
+        check_engine(engine)
+        evaluator = PairEvaluator(
+            stats,
+            memo=self.memo,
+            recorder=self,
+            check_cache_first=self.check_cache_first,
+            profiler=profiler,
+            kernels=self.kernels,
+        )
+        return PairRows(evaluator, self.candidates, self.function.rules)
+
+    # ------------------------------------------------------------------
     # TraceRecorder protocol (fed by matchers and incremental updates)
     # ------------------------------------------------------------------
 
@@ -227,9 +274,9 @@ class MatchState:
     ) -> None:
         self._slot_bitmap((rule_name, slot))[pair_index] = True
 
-    # Bulk recorders (the columnar engine's batched writes).  Bitmaps are
-    # sets, so one fancy-indexed write per batch is observationally
-    # identical to the scalar per-pair calls.
+    # Bulk recorders (the columnar engine's and Algorithms 7-10's batched
+    # writes).  Bitmaps are sets, so one fancy-indexed write per batch is
+    # observationally identical to the scalar per-pair calls.
 
     def record_rule_match_rows(self, rows, rule_name: str) -> None:
         self._rule_bitmap(rule_name)[rows] = True
@@ -263,14 +310,15 @@ class MatchState:
         return bitmap
 
     def matched_rows(self, rule_name: str) -> np.ndarray:
-        """M(r) as a sorted int64 row array (the columnar mirrors' form)."""
+        """M(r): pairs attributed to ``rule_name``, as a sorted int64 row array."""
         bitmap = self._rule_matched.get(rule_name)
         if bitmap is None:
             return _NO_ROWS
         return np.flatnonzero(bitmap)
 
     def failed_rows(self, rule_name: str, slot: str) -> np.ndarray:
-        """U(p) as a sorted int64 row array (the columnar mirrors' form)."""
+        """U(p): pairs on which the predicate was observed false, as a
+        sorted int64 row array."""
         bitmap = self._predicate_false.get((rule_name, slot))
         if bitmap is None:
             return _NO_ROWS
@@ -287,19 +335,6 @@ class MatchState:
     def failed_predicate(self, rule_name: str, slot: str) -> List[int]:
         """U(p): indices of pairs on which the predicate was observed false."""
         return self.failed_rows(rule_name, slot).tolist()
-
-    def clear_rule_match(self, pair_index: int, rule_name: str) -> None:
-        bitmap = self._rule_matched.get(rule_name)
-        if bitmap is not None:
-            bitmap[pair_index] = False
-        self.attribution[pair_index] = -1
-
-    def clear_predicate_false(
-        self, pair_index: int, rule_name: str, slot: str
-    ) -> None:
-        bitmap = self._predicate_false.get((rule_name, slot))
-        if bitmap is not None:
-            bitmap[pair_index] = False
 
     def drop_rule(self, rule_name: str, old_index: int) -> None:
         """Forget all bitmaps of a removed rule and shift attributions.

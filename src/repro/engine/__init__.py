@@ -1,6 +1,6 @@
 """Columnar evaluation engine: plan/executor split for set-at-a-time matching.
 
-Three stages (see ``docs/performance.md`` and ``DESIGN.md``):
+Two stages (see ``docs/performance.md`` and ``DESIGN.md``):
 
 * :mod:`repro.engine.plan` — the **planner** lowers a parsed
   :class:`~repro.core.rules.MatchingFunction` into a :class:`MatchPlan` of
@@ -10,20 +10,17 @@ Three stages (see ``docs/performance.md`` and ``DESIGN.md``):
 * :mod:`repro.engine.executor` — the **columnar executor** evaluates each
   step as one vectorized mask over the surviving candidate indices, with
   per-step scalar fallback for similarities without kernels, bit-identical
-  to the scalar :class:`~repro.core.matchers.PairEvaluator` path;
-* :mod:`repro.engine.incremental` — columnar mirrors of the paper's
-  incremental Algorithms 7-10, so rule edits (and the refinement search's
-  scorer) run as mask passes over the materialized state.
+  to the scalar :class:`~repro.core.matchers.PairEvaluator` path.
+
+The executor is also one of the two row evaluators
+:meth:`~repro.core.state.MatchState.evaluator` builds: with
+``engine="columnar"``, the paper's incremental Algorithms 7-10
+(:func:`repro.core.incremental.apply_change`, which the refinement
+search's scorer calls too) and the streaming re-match run as mask passes
+over the materialized state.
 """
 
 from .executor import ColumnarExecutor, ColumnarMatcher
-from .incremental import (
-    apply_add_rule_columnar,
-    apply_change_columnar,
-    apply_loosening_columnar,
-    apply_remove_rule_columnar,
-    apply_strictening_columnar,
-)
 from .plan import (
     EngineDecision,
     MatchPlan,
@@ -43,10 +40,5 @@ __all__ = [
     "PredicateStep",
     "RuleStep",
     "choose_engine",
-    "apply_add_rule_columnar",
-    "apply_change_columnar",
-    "apply_loosening_columnar",
-    "apply_remove_rule_columnar",
-    "apply_strictening_columnar",
     "plan_function",
 ]

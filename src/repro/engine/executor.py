@@ -326,9 +326,9 @@ class ColumnarExecutor:
 
         The columnar mirror of ``PairEvaluator.predicate_true`` — bound
         pre-filter, memo fetch, batched compute, one vectorized compare —
-        with identical counter and trace semantics.  Public because the
-        incremental mirrors (:mod:`repro.engine.incremental`) re-evaluate
-        single predicates in the scalar algorithms' exact order.
+        with identical counter and trace semantics.  Public because
+        Algorithms 7-10 (:mod:`repro.core.incremental`) re-evaluate single
+        predicates through it.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:

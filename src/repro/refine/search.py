@@ -243,11 +243,11 @@ class RefinementSearch:
         self.feature_universe = tuple(feature_universe)
         self.observability = observability
         self.kernels = kernels
-        #: "scalar" applies candidate edits through the per-pair
-        #: Algorithms 7-10; "columnar" through their set-at-a-time mirrors
-        #: (repro.engine.incremental) — each scored edit becomes a handful
-        #: of mask passes over the checkpointed state.  Outcomes (labels,
-        #: counters, restored state) are bit-identical either way.
+        #: the row evaluator candidate edits run Algorithms 7-10 against:
+        #: "scalar" walks the affected pairs one at a time, "columnar"
+        #: makes each scored edit a handful of mask passes over the
+        #: checkpointed state.  Outcomes (labels, counters, restored
+        #: state) are bit-identical either way.
         self.engine = engine
         self._gold_mask = np.fromiter(
             (pair.pair_id in gold for pair in self.candidates),
@@ -407,20 +407,16 @@ class RefinementSearch:
         edited rule), a scalar one never reads it, and the rollback that
         follows restores the parent's plan by reference — a scored
         candidate never compiles a plan."""
-        if self.engine == "columnar":
-            from ..engine import apply_change_columnar
-
-            apply_change_columnar(
-                self.state,
-                change,
-                metrics=(
-                    self.observability.metrics
-                    if self.observability is not None
-                    else None
-                ),
-            )
-        else:
-            apply_change(self.state, change)
+        apply_change(
+            self.state,
+            change,
+            self.engine,
+            metrics=(
+                self.observability.metrics
+                if self.observability is not None
+                else None
+            ),
+        )
 
     def _counter(self, name: str):
         if self.observability is not None:

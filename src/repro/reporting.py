@@ -20,7 +20,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .core import (
+    AddPredicate,
     AddRule,
+    Change,
     CostEstimator,
     DebugSession,
     DynamicMemoMatcher,
@@ -28,7 +30,12 @@ from .core import (
     MatchingFunction,
     MatchState,
     PrecomputeMatcher,
+    RelaxPredicate,
+    RemovePredicate,
+    RemoveRule,
+    Rule,
     RudimentaryMatcher,
+    TightenPredicate,
     apply_change,
     greedy_cost_ordering,
     greedy_reduction_ordering,
@@ -268,6 +275,56 @@ def run_add_rule_sweep(
     return series
 
 
+def random_change(
+    kind: str, rules: Sequence[Rule], rng: random.Random
+) -> Optional[Change]:
+    """One random edit of ``kind`` by the paper's §7.6 protocol, drawn
+    from ``rules`` by position, or ``None`` when the draw does not apply.
+
+    Tighten/relax move a threshold by one of {0.1, ..., 0.5}, clamped to
+    keep it in [0, 1]; add-predicate borrows a donor rule's predicate on a
+    free slot (the paper removes a predicate, re-matches, and adds it
+    back); add-rule is a renamed copy of a donor rule.  Callers still
+    validate the change against their function.
+    """
+    rule = rules[rng.randrange(len(rules))]
+    predicate = rule.predicates[rng.randrange(len(rule.predicates))]
+    lower_bound = predicate.op in (">=", ">")
+    delta = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
+    if kind == "tighten":
+        threshold = (
+            min(1.0, predicate.threshold + delta)
+            if lower_bound
+            else max(0.0, predicate.threshold - delta)
+        )
+        return TightenPredicate(rule.name, predicate.slot, threshold)
+    if kind == "relax":
+        threshold = (
+            max(-0.001, predicate.threshold - delta)
+            if lower_bound
+            else min(1.001, predicate.threshold + delta)
+        )
+        return RelaxPredicate(rule.name, predicate.slot, threshold)
+    if kind == "remove_predicate":
+        if len(rule.predicates) < 2:
+            return None
+        return RemovePredicate(rule.name, predicate.slot)
+    if kind == "add_predicate":
+        donor = rules[rng.randrange(len(rules))]
+        candidate = donor.predicates[rng.randrange(len(donor.predicates))]
+        if candidate.slot in {p.slot for p in rule.predicates}:
+            return None
+        return AddPredicate(rule.name, candidate)
+    if kind == "remove_rule":
+        if len(rules) < 2:
+            return None
+        return RemoveRule(rule.name)
+    if kind == "add_rule":
+        donor = rules[rng.randrange(len(rules))]
+        return AddRule(type(donor)(f"new_{rng.randrange(10**9)}", donor.predicates))
+    raise ValueError(kind)
+
+
 def run_change_type_study(
     workload: Workload,
     edits_per_type: int = 20,
@@ -275,14 +332,6 @@ def run_change_type_study(
     seed: int = 17,
 ) -> Series:
     """Figure 6: mean incremental ms per change type (random valid edits)."""
-    from .core import (
-        AddPredicate,
-        RelaxPredicate,
-        RemovePredicate,
-        RemoveRule,
-        TightenPredicate,
-    )
-
     candidates = workload.candidates.subset(
         range(min(pair_budget, len(workload.candidates)))
     )
@@ -290,47 +339,6 @@ def run_change_type_study(
         workload.function, candidates, check_cache_first=True
     )
     rng = random.Random(seed)
-
-    def random_change(kind):
-        function = state.function
-        rule = function.rules[rng.randrange(len(function.rules))]
-        predicate = rule.predicates[rng.randrange(len(rule.predicates))]
-        lower_bound = predicate.op in (">=", ">")
-        delta = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
-        if kind == "tighten":
-            threshold = (
-                min(1.0, predicate.threshold + delta)
-                if lower_bound
-                else max(0.0, predicate.threshold - delta)
-            )
-            return TightenPredicate(rule.name, predicate.slot, threshold)
-        if kind == "relax":
-            threshold = (
-                max(-0.001, predicate.threshold - delta)
-                if lower_bound
-                else min(1.001, predicate.threshold + delta)
-            )
-            return RelaxPredicate(rule.name, predicate.slot, threshold)
-        if kind == "remove_predicate":
-            if len(rule.predicates) < 2:
-                return None
-            return RemovePredicate(rule.name, predicate.slot)
-        if kind == "add_predicate":
-            donor = function.rules[rng.randrange(len(function.rules))]
-            candidate = donor.predicates[rng.randrange(len(donor.predicates))]
-            if candidate.slot in {p.slot for p in rule.predicates}:
-                return None
-            return AddPredicate(rule.name, candidate)
-        if kind == "remove_rule":
-            if len(function) < 2:
-                return None
-            return RemoveRule(rule.name)
-        if kind == "add_rule":
-            donor = function.rules[rng.randrange(len(function.rules))]
-            return AddRule(
-                type(donor)(f"new_{rng.randrange(10**9)}", donor.predicates)
-            )
-        raise ValueError(kind)
 
     series = Series(
         "fig6_change_types", ["change", "mean_ms", "edits_applied"]
@@ -344,7 +352,7 @@ def run_change_type_study(
         attempts = 0
         while applied < edits_per_type and attempts < edits_per_type * 20:
             attempts += 1
-            change = random_change(kind)
+            change = random_change(kind, state.function.rules, rng)
             if change is None:
                 continue
             try:

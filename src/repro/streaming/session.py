@@ -50,7 +50,7 @@ import numpy as np
 
 from ..blocking.base import Blocker
 from ..core.cost_model import per_pair_cost
-from ..core.matchers import MatchResult, PairEvaluator, TraceLog
+from ..core.matchers import MatchResult, TraceLog
 from ..core.memo import ArrayMemo, HashMemo
 from ..core.session import DebugSession
 from ..core.stats import MatchStats
@@ -375,45 +375,20 @@ class StreamingSession:
     # ------------------------------------------------------------------
 
     def _rematch_serial(self, state, affected: Sequence[int], stats: MatchStats) -> None:
+        """Re-match the affected pairs in process, through the session's
+        engine (a columnar one runs under the plan the state carried
+        across the ingest), recording into the state exactly as a full
+        run would."""
         observability = self.observability
-        profiler = (
-            observability.profiler if observability is not None else None
+        evaluator = state.evaluator(
+            stats,
+            self.session._engine_for(state),
+            profiler=observability.profiler if observability is not None else None,
         )
-        if self.session._engine_for(state) == "columnar":
-            # Set-at-a-time re-match: one executor pass over the affected
-            # index set under the plan the state carried across the
-            # ingest, recording into the state exactly as a full columnar
-            # run would (bit-identical to the scalar loop below).
-            from ..engine import ColumnarExecutor
-
-            executor = ColumnarExecutor(
-                state.plan,
-                state.candidates,
-                state.memo,
-                stats,
-                recorder=state,
-                profiler=profiler,
-                kernels=state.kernels,
-            )
-            rows = np.asarray(affected, dtype=np.int64)
-            state.labels[rows] = executor.match_rows(rows)
-            if observability is not None:
-                executor.report_metrics(observability.metrics)
-        else:
-            evaluator = PairEvaluator(
-                stats,
-                memo=state.memo,
-                recorder=state,
-                check_cache_first=self.session.check_cache_first,
-                profiler=profiler,
-                kernels=state.kernels,
-            )
-            rules = state.function.rules
-            for index in affected:
-                pair = state.candidates[index]
-                state.labels[index] = (
-                    evaluator.first_matching_rule(pair, rules) is not None
-                )
+        rows = np.asarray(affected, dtype=np.int64)
+        state.labels[rows] = evaluator.match_rows(rows)
+        if observability is not None:
+            evaluator.report_metrics(observability.metrics)
         stats.pairs_evaluated += len(affected)
 
     def _rematch_parallel(self, state, affected: Sequence[int], stats: MatchStats) -> None:

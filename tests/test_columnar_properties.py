@@ -40,12 +40,7 @@ from repro.core import (
 from repro.core.matchers import TraceLog
 from repro.core.state import MatchState
 from repro.data import CandidateSet, Record, Table, load_dataset
-from repro.engine import (
-    ColumnarExecutor,
-    ColumnarMatcher,
-    apply_change_columnar,
-    plan_function,
-)
+from repro.engine import ColumnarExecutor, ColumnarMatcher, plan_function
 from repro.engine import executor as executor_module
 from repro.engine.executor import validity_groups
 from repro.errors import ChangeError
@@ -333,68 +328,6 @@ def test_packed_partition_matches_unique(columns):
     assert np.array_equal(packed_inverse, np.asarray(inverse).reshape(-1))
 
 
-@given(
-    tables=tables_strategy(),
-    function=function_strategy(),
-    rule_choice=st.integers(min_value=0, max_value=7),
-    tighten_by=st.floats(min_value=0.01, max_value=0.3, allow_nan=False),
-)
-@settings(max_examples=30, deadline=None)
-def test_incremental_mirrors_match_scalar(
-    tables, function, rule_choice, tighten_by
-):
-    """apply_change vs apply_change_columnar: identical states after an
-    edit applied to identically materialized states."""
-    for pair_rows in PAIR_ROWS_SETTINGS:
-        with pair_rows_pinned(pair_rows):
-            incremental_mirrors_match_scalar(
-                tables, function, rule_choice, tighten_by
-            )
-
-
-def incremental_mirrors_match_scalar(tables, function, rule_choice, tighten_by):
-    candidates = cross_product(*tables)
-    states = []
-    for engine in ("scalar", "columnar"):
-        kernels = FeatureKernels(use_bounds=True)
-        state, _ = MatchState.from_initial_run(
-            function, candidates, kernels=kernels, engine=engine
-        )
-        states.append(state)
-    state_s, state_c = states
-
-    rule = function.rules[rule_choice % len(function.rules)]
-    tightenable = [
-        p for p in rule.predicates if p.op in (">", ">=") and p.threshold < 0.99
-    ]
-    if tightenable:
-        predicate = tightenable[0]
-        change = TightenPredicate(
-            rule.name, predicate.slot, min(predicate.threshold + tighten_by, 1.0)
-        )
-    elif len(function.rules) > 1:
-        change = RemoveRule(rule.name)
-    else:
-        return  # nothing applicable to this draw
-    result_s = apply_change(state_s, change)
-    result_c = apply_change_columnar(state_c, change)
-
-    assert (state_s.labels == state_c.labels).all()
-    assert (state_s.attribution == state_c.attribution).all()
-    assert sorted(state_s.memo.items()) == sorted(state_c.memo.items())
-    assert set(state_s._rule_matched) == set(state_c._rule_matched)
-    for name, bitmap in state_s._rule_matched.items():
-        assert (bitmap == state_c._rule_matched[name]).all()
-    assert set(state_s._predicate_false) == set(state_c._predicate_false)
-    for key, bitmap in state_s._predicate_false.items():
-        assert (bitmap == state_c._predicate_false[key]).all()
-    assert result_s.newly_matched == result_c.newly_matched
-    assert result_s.newly_unmatched == result_c.newly_unmatched
-    assert result_s.affected_pairs == result_c.affected_pairs
-    state_s.check_soundness()
-    state_c.check_soundness()
-
-
 # ---------------------------------------------------------------------------
 # Deterministic dataset x blocker matrix
 # ---------------------------------------------------------------------------
@@ -535,6 +468,80 @@ def state_facts(state):
     )
 
 
+@given(
+    tables=tables_strategy(),
+    function=function_strategy(),
+    edits=st.lists(edit_strategy, min_size=1, max_size=3),
+    check_cache_first=st.booleans(),
+    memo_backend=st.sampled_from(["array", "hash"]),
+    kernel_flags=st.sampled_from(KERNEL_FLAGS),
+)
+@settings(max_examples=30, deadline=None)
+def test_incremental_mirrors_match_scalar(
+    tables, function, edits, check_cache_first, memo_backend, kernel_flags
+):
+    """``apply_change`` under ``engine="scalar"`` vs ``"columnar"``: edits
+    of every kind leave equal state, counters, and result fields on
+    identically materialized states; both states agree with a
+    from-scratch run and pass the soundness check; and a warm re-match
+    through each engine's ``MatchState.evaluator`` leaves equal facts."""
+    for pair_rows in PAIR_ROWS_SETTINGS:
+        with pair_rows_pinned(pair_rows):
+            incremental_mirrors_match_scalar(
+                cross_product(*tables),
+                function,
+                edits,
+                check_cache_first,
+                memo_backend,
+                *kernel_flags,
+            )
+
+
+def incremental_mirrors_match_scalar(
+    candidates,
+    function,
+    edits,
+    check_cache_first,
+    memo_backend,
+    use_kernels,
+    use_bounds,
+):
+    states = {}
+    for engine in ("scalar", "columnar"):
+        kernels = FeatureKernels(use_bounds=use_bounds) if use_kernels else None
+        states[engine], _ = MatchState.from_initial_run(
+            function,
+            candidates,
+            memo_backend=memo_backend,
+            check_cache_first=check_cache_first,
+            kernels=kernels,
+            engine=engine,
+        )
+    for step, intent in enumerate(edits):
+        change = resolve_edit(states["scalar"].function, intent, step)
+        if change is None:
+            continue
+        scalar = apply_change(states["scalar"], change, "scalar")
+        columnar = apply_change(states["columnar"], change, "columnar")
+        assert state_facts(states["scalar"]) == state_facts(states["columnar"])
+        assert stats_counters(scalar.stats) == stats_counters(columnar.stats)
+        for field in ("change", "affected_pairs", "newly_matched", "newly_unmatched"):
+            assert getattr(scalar, field) == getattr(columnar, field), field
+    scratch = DynamicMemoMatcher().run(states["scalar"].function, candidates)
+    for state in states.values():
+        state.validate_against(scratch.labels)
+        state.check_soundness()
+    # A warm re-match of every row, as a streaming ingest runs one: the
+    # memo now decides the check-cache-first predicate order.
+    rows = np.arange(len(candidates), dtype=np.int64)
+    rematches = []
+    for engine, state in states.items():
+        stats = MatchStats()
+        mask = state.evaluator(stats, engine).match_rows(rows)
+        rematches.append((mask.tolist(), state_facts(state), stats_counters(stats)))
+    assert rematches[0] == rematches[1]
+
+
 def assert_pair_rows_unobservable(scenario, *args):
     """``scenario(*args)`` returns the same facts with every call columnar,
     at the shipped ``PAIR_ROWS``, and with every call per pair."""
@@ -574,7 +581,7 @@ def edit_and_match_facts(
         if change is None:
             continue
         observability = Observability()
-        edit = apply_change_columnar(state, change, metrics=observability.metrics)
+        edit = apply_change(state, change, "columnar", metrics=observability.metrics)
         fallbacks = observability.metrics.snapshot().get(
             "engine.scalar_fallbacks", {"value": 0}
         )["value"]

@@ -23,21 +23,18 @@ from repro.core import (
     CostEstimator,
     DebugSession,
     DynamicMemoMatcher,
+    MatchStats,
     RelaxPredicate,
     RemovePredicate,
     RemoveRule,
     Rule,
     TightenPredicate,
+    apply_change,
     parse_function,
 )
 from repro.core.state import MatchState
 from repro.data import CandidateSet, Table
-from repro.engine import (
-    ColumnarMatcher,
-    MatchPlan,
-    apply_change_columnar,
-    plan_function,
-)
+from repro.engine import ColumnarMatcher, MatchPlan, plan_function
 from repro.engine import executor as executor_module
 from repro.engine.plan import PlanSpec
 from repro.errors import MatchingError, ParallelExecutionError, RefinementError
@@ -397,11 +394,29 @@ class TestIncrementalColumnar:
         rule = state.function.rules[0]
         change = TightenPredicate(rule.name, rule.predicates[0].slot, 0.95)
         observability = Observability()
-        result = apply_change_columnar(
-            state, change, metrics=observability.metrics
+        result = apply_change(
+            state, change, "columnar", metrics=observability.metrics
         )
         assert result.change is change
         state.check_soundness()
+
+    def test_unknown_engine_is_rejected_before_the_edit(
+        self, people_candidates, supported_function
+    ):
+        state, _ = MatchState.from_initial_run(supported_function, people_candidates)
+        before = state.checkpoint()
+        rule = state.function.rules[0]
+        change = TightenPredicate(rule.name, rule.predicates[0].slot, 0.95)
+        with pytest.raises(MatchingError, match="vectorized"):
+            apply_change(state, change, "vectorized")
+        assert state.function is before.function
+        assert np.array_equal(state.attribution, before.attribution)
+        with pytest.raises(MatchingError, match="auto"):
+            state.evaluator(MatchStats(), "auto")
+        with pytest.raises(MatchingError, match="vectorized"):
+            MatchState.from_initial_run(
+                supported_function, people_candidates, engine="vectorized"
+            )
 
 
 # ----------------------------------------------------------------------
