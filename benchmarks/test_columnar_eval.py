@@ -29,12 +29,15 @@ is held in both orders.
 
 An edit phase then runs the paper's §7.6 edit protocol on an ``auto``
 session over the same workload — 30 edit/inverse pairs across
-Algorithms 7-10, labels checked restored after every pair — and pins a
-ratio floor: the median edit must cost at most half of one full
-``plan_function`` compile with estimates.  An edit patches the session's
-plan (one rule re-planned) instead of compiling it, so its cost follows
-the rows it touches, not the rule count.  Results — timings, coverage,
-the auto-engine decision, the edit phase and the cold phase — land in
+Algorithms 7-10, labels checked restored after every pair — and pins two
+ratio ceilings against one full ``plan_function`` compile with
+estimates: the median edit must cost at most half of it, and the median
+*zero-row* edit (one whose affected rows are empty, so it builds no row
+evaluator) at most :data:`MAX_ZERO_ROW_EDIT_OVER_COMPILE` of it.  An
+edit with rows patches the session's plan (one rule re-planned) instead
+of compiling it; a zero-row edit reads no plan at all, so its cost
+follows neither the rule count nor the plan.  Results — timings, coverage, the auto-engine
+decision, the edit phase and the cold phase — land in
 ``benchmarks/BENCH_columnar_eval.json``.
 """
 
@@ -72,6 +75,10 @@ MIN_SPEEDUP = 2.0
 MIN_SUPPORTED_RULES = 255
 #: ceiling on (edit p50) / (one full plan compile with estimates).
 MAX_EDIT_OVER_COMPILE = 0.5
+#: ceiling on (zero-row edit p50) / (one full plan compile with
+#: estimates): a zero-row edit builds no evaluator, so it must not pay
+#: for a plan patch or an engine decision over all 255 rules.
+MAX_ZERO_ROW_EDIT_OVER_COMPILE = 0.025
 #: floor on (cold run without kernels) / (cold run with kernels).
 MIN_COLD_SPEEDUP = 2.0
 
@@ -214,6 +221,8 @@ def test_edit_phase(benchmark, columnar_workload):
     session.run()
     rng = random.Random(EDIT_SEED)
     edit_seconds = []
+    zero_row_seconds = []
+    row_seconds = []
     kinds = []
 
     def run_edits():
@@ -223,8 +232,12 @@ def test_edit_phase(benchmark, columnar_workload):
             before = session.labels().copy()
             for change in pair:
                 started = time.perf_counter()
-                session.apply(change)
-                edit_seconds.append(time.perf_counter() - started)
+                result = session.apply(change)
+                elapsed = time.perf_counter() - started
+                edit_seconds.append(elapsed)
+                (row_seconds if result.affected_pairs else zero_row_seconds).append(
+                    elapsed
+                )
             assert np.array_equal(session.labels(), before), (
                 f"labels not restored after {pair[0]!r} and its inverse"
             )
@@ -240,6 +253,10 @@ def test_edit_phase(benchmark, columnar_workload):
         "pairs": len(kinds),
         "edit_p50_seconds": statistics.median(edit_seconds),
         "edit_p90_seconds": float(np.percentile(edit_seconds, 90)),
+        "zero_row_edits": len(zero_row_seconds),
+        "zero_row_p50_seconds": statistics.median(zero_row_seconds),
+        "row_edits": len(row_seconds),
+        "row_p50_seconds": statistics.median(row_seconds),
         "compile_seconds": statistics.median(compile_seconds),
         "engine": plan.decision.engine,
         "rules": len(session.function.rules),
@@ -302,6 +319,9 @@ def test_columnar_eval_report(benchmark, columnar_workload):
     cold = _RESULTS["cold"]
     speedup = scalar["seconds"] / columnar["seconds"]
     edit_over_compile = edits["edit_p50_seconds"] / edits["compile_seconds"]
+    zero_row_over_compile = (
+        edits["zero_row_p50_seconds"] / edits["compile_seconds"]
+    )
     cold_speedup = cold["no_kernels_seconds"] / cold["kernels_seconds"]
 
     print_series(
@@ -329,14 +349,29 @@ def test_columnar_eval_report(benchmark, columnar_workload):
     print_series(
         f"Edit phase ({edits['pairs']} edit/inverse pairs, "
         f"{edits['rules']} rules, auto -> {edits['engine']})",
-        ["edit p50", "edit p90", "plan compile", "p50 / compile"],
+        ["edits", "p50", "p90", "plan compile", "p50 / compile"],
         [
             [
-                f"{edits['edit_p50_seconds'] * 1000:.2f}ms",
-                f"{edits['edit_p90_seconds'] * 1000:.2f}ms",
+                f"all {edits['pairs'] * 2}",
+                f"{edits['edit_p50_seconds'] * 1000:.3f}ms",
+                f"{edits['edit_p90_seconds'] * 1000:.3f}ms",
                 f"{edits['compile_seconds'] * 1000:.2f}ms",
-                f"{edit_over_compile:.2f}",
-            ]
+                f"{edit_over_compile:.4f}",
+            ],
+            [
+                f"zero-row {edits['zero_row_edits']}",
+                f"{edits['zero_row_p50_seconds'] * 1000:.3f}ms",
+                "-",
+                "-",
+                f"{zero_row_over_compile:.4f}",
+            ],
+            [
+                f"with rows {edits['row_edits']}",
+                f"{edits['row_p50_seconds'] * 1000:.3f}ms",
+                "-",
+                "-",
+                f"{edits['row_p50_seconds'] / edits['compile_seconds']:.4f}",
+            ],
         ],
     )
 
@@ -387,6 +422,12 @@ def test_columnar_eval_report(benchmark, columnar_workload):
             "plan_compile_ms": edits["compile_seconds"] * 1000,
             "edit_p50_over_compile": edit_over_compile,
             "max_edit_over_compile_floor": MAX_EDIT_OVER_COMPILE,
+            "zero_row_edits": edits["zero_row_edits"],
+            "zero_row_p50_ms": edits["zero_row_p50_seconds"] * 1000,
+            "zero_row_p50_over_compile": zero_row_over_compile,
+            "max_zero_row_edit_over_compile_ceiling": MAX_ZERO_ROW_EDIT_OVER_COMPILE,
+            "row_edits": edits["row_edits"],
+            "row_p50_ms": edits["row_p50_seconds"] * 1000,
         },
         "cold_phase": {
             "kernels_seconds": cold["kernels_seconds"],
@@ -419,7 +460,12 @@ def test_columnar_eval_report(benchmark, columnar_workload):
         f"edit p50 is {edit_over_compile:.2f}x one full plan compile; "
         f"ceiling is {MAX_EDIT_OVER_COMPILE:.2f}x"
     )
-    # 5. the kernel layer pays off where the analyst waits longest: cold.
+    # 5. an edit with no rows to evaluate pays for no plan at all.
+    assert zero_row_over_compile <= MAX_ZERO_ROW_EDIT_OVER_COMPILE, (
+        f"zero-row edit p50 is {zero_row_over_compile:.4f}x one full plan "
+        f"compile; ceiling is {MAX_ZERO_ROW_EDIT_OVER_COMPILE:.4f}x"
+    )
+    # 6. the kernel layer pays off where the analyst waits longest: cold.
     assert cold_speedup >= MIN_COLD_SPEEDUP, (
         f"a cold run with kernels is only {cold_speedup:.2f}x faster than "
         f"without; floor is {MIN_COLD_SPEEDUP:.1f}x"

@@ -21,15 +21,21 @@ the bitmaps, against a *row evaluator* with three methods:
   into a metrics registry.
 
 :meth:`MatchState.evaluator` builds one per edit, after the edit is
-applied to the function.  ``engine="scalar"`` gives a
-:class:`~repro.core.matchers.PairRows`, which walks the rows pair by pair
-through :class:`~repro.core.matchers.PairEvaluator` and never reads the
-state's plan; ``engine="columnar"`` a :class:`~repro.engine.ColumnarExecutor`
+applied to the function, and only once the edit has rows to evaluate.
+``engine="scalar"`` gives a :class:`~repro.core.matchers.PairRows`, which
+walks the rows pair by pair through
+:class:`~repro.core.matchers.PairEvaluator` and never reads the state's
+plan; ``engine="columnar"`` a :class:`~repro.engine.ColumnarExecutor`
 over the state's plan (patched to the edited function by that read),
-which evaluates the rows as mask passes.  Both leave identical labels,
-bitmaps, memo, and counters: pairs are independent and the memo is keyed
-per (pair, feature), so visiting the rows predicate by predicate instead
-of pair by pair changes no per-pair outcome and no counter sum.
+which evaluates the rows as mask passes.  ``engine="auto"`` resolves at
+that build (:meth:`MatchState.resolve_engine`), against the edited
+function's plan — the plan the evaluator runs.  An edit whose rows are
+empty (about half of them) therefore builds nothing: it reads no plan,
+makes no engine decision, and reports no engine metrics.  Both engines
+leave identical labels, bitmaps, memo, and counters: pairs are
+independent and the memo is keyed per (pair, feature), so visiting the
+rows predicate by predicate instead of pair by pair changes no per-pair
+outcome and no counter sum.
 
 Soundness argument (and one fix to the paper)
 ---------------------------------------------
@@ -113,9 +119,16 @@ class IncrementalResult:
 def _start(state: MatchState, change: Change, engine: str) -> Tuple[float, MatchStats]:
     """Check the edit and the engine before anything changes."""
     started = time.perf_counter()
-    check_engine(engine)
+    check_engine(engine, auto=True)
     change.validate(state.function)
     return started, MatchStats()
+
+
+def _evaluator(state: MatchState, stats: MatchStats, engine: str):
+    """The edit's row evaluator, built when it first has rows to evaluate
+    (after the edit is applied, so ``"auto"`` resolves against the edited
+    function's plan)."""
+    return state.evaluator(stats, state.resolve_engine(engine))
 
 
 def _finish(
@@ -130,7 +143,7 @@ def _finish(
 ) -> IncrementalResult:
     stats.elapsed_seconds = time.perf_counter() - started
     stats.pairs_evaluated = affected
-    if metrics is not None:
+    if metrics is not None and evaluator is not None:
         evaluator.report_metrics(metrics)
     return IncrementalResult(
         change=change,
@@ -168,10 +181,12 @@ def apply_strictening(
     changed_predicate = state.function.rule(rule_name).predicate_by_slot(changed_slot)
     rule_position = state.function.rule_index(rule_name)
 
-    evaluator = state.evaluator(stats, engine)
+    evaluator = None
     newly_unmatched = 0
-    # Most edits touch no pair; skipping the array calls keeps those cheap.
+    # Most edits touch no pair; those build no evaluator and make no
+    # array calls.
     if affected.size:
+        evaluator = _evaluator(state, stats, engine)
         passing = evaluator.predicate_rows(changed_predicate, rule_name, affected)
         failing = np.setdiff1d(affected, passing, assume_unique=True)
         if failing.size:
@@ -231,7 +246,7 @@ def apply_loosening(
         # what this pass re-verifies.
         state.reset_predicate_false(rule_name, slot)
 
-    evaluator = state.evaluator(stats, engine)
+    evaluator = None
     examined = failed
     if failed.size:
         # Skip pairs matched by this rule or an earlier one: the invariant
@@ -239,10 +254,12 @@ def apply_loosening(
         skip = state.labels[failed] & (state.attribution[failed] <= rule_position)
         examined = failed[~skip]
     rows = examined
-    for predicate in relaxed + others:
-        if rows.size == 0:
-            break
-        rows = evaluator.predicate_rows(predicate, rule_name, rows)
+    if rows.size:
+        evaluator = _evaluator(state, stats, engine)
+        for predicate in relaxed + others:
+            rows = evaluator.predicate_rows(predicate, rule_name, rows)
+            if rows.size == 0:
+                break
 
     newly_matched = 0
     if rows.size:  # (recording no rows would still allocate r's bitmap)
@@ -283,9 +300,10 @@ def apply_remove_rule(
     state.function = change.apply_to(state.function)
     state.drop_rule(rule_name, old_index)
 
-    evaluator = state.evaluator(stats, engine)
+    evaluator = None
     newly_unmatched = 0
     if affected.size:
+        evaluator = _evaluator(state, stats, engine)
         # drop_rule cleared the bitmap wholesale; fix these pairs' entries.
         state.attribution[affected] = -1
         # Positions shifted down by one for rules after the removed one.
@@ -317,12 +335,16 @@ def apply_add_rule(
     affected = state.unmatched_rows()
     state.function = change.apply_to(state.function)
 
-    evaluator = state.evaluator(stats, engine)
-    won = affected[evaluator.match_rows(affected, len(state.function.rules) - 1)]
-    state.labels[won] = True
+    evaluator = None
+    newly_matched = 0
+    if affected.size:
+        evaluator = _evaluator(state, stats, engine)
+        won = affected[evaluator.match_rows(affected, len(state.function.rules) - 1)]
+        state.labels[won] = True
+        newly_matched = int(won.size)
     return _finish(
         change, stats, started, evaluator, metrics, int(affected.size),
-        int(won.size), 0,
+        newly_matched, 0,
     )
 
 
@@ -336,8 +358,9 @@ def apply_change(
 ) -> IncrementalResult:
     """Apply any change with its matching incremental algorithm.
 
-    ``engine`` (``"scalar"`` or ``"columnar"``) picks the row evaluator
-    the algorithm runs against; labels, state, and counters are identical
+    ``engine`` (``"scalar"``, ``"columnar"``, or ``"auto"``, resolved
+    against the edited function's plan) picks the row evaluator the
+    algorithm runs against; labels, state, and counters are identical
     either way.  ``metrics`` (a metrics registry) optionally receives the
     evaluator's ``engine.*`` counters.
     """

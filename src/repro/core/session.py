@@ -35,7 +35,7 @@ from .memo import ArrayMemo, HashMemo
 from .ordering import order_function
 from .parser import parse_function
 from .rules import MatchingFunction
-from .state import MatchState
+from .state import MatchState, check_engine
 
 
 @dataclass
@@ -148,10 +148,7 @@ class DebugSession:
         self.observability = observability
         self.use_kernels = use_kernels
         self.use_bounds = use_bounds
-        if engine not in ("auto", "columnar", "scalar"):
-            raise MatchingError(
-                f"engine must be 'auto', 'columnar', or 'scalar', got {engine!r}"
-            )
+        check_engine(engine, auto=True)
         self.engine = engine
         if use_kernels:
             from ..kernels import FeatureKernels
@@ -169,13 +166,15 @@ class DebugSession:
     # ------------------------------------------------------------------
 
     def _engine_for(self, state: MatchState) -> str:
-        """The engine a run or edit over ``state`` uses: the configured
-        one, or for ``"auto"`` the cost-model
+        """The engine a run over ``state`` uses: the configured one, or
+        for ``"auto"`` the cost-model
         :class:`~repro.engine.EngineDecision` of the state's plan —
         columnar exactly when its estimated per-pair cost undercuts the
-        scalar loop's, given the session's kernels and estimates.  Only
-        ``"auto"`` reads (and so patches) the plan."""
-        return state.plan.decision.engine if self.engine == "auto" else self.engine
+        scalar loop's, given the session's kernels and estimates
+        (:meth:`MatchState.resolve_engine`).  Only ``"auto"`` reads (and
+        so patches) the plan; edits resolve it themselves, and only when
+        they have rows to evaluate."""
+        return state.resolve_engine(self.engine)
 
     def compile_plan(self, function: Optional[MatchingFunction] = None):
         """A from-scratch :class:`~repro.engine.MatchPlan` for ``function``
@@ -296,11 +295,7 @@ class DebugSession:
                             observability.profiler if observability else None
                         ),
                         kernels=self.kernels,
-                        engine=(
-                            plan.decision.engine
-                            if self.engine == "auto"
-                            else self.engine
-                        ),
+                        engine=self.engine,
                         metrics=(
                             observability.metrics if observability else None
                         ),
@@ -373,14 +368,17 @@ class DebugSession:
 
         The affected pairs run through the session's engine: the
         set-at-a-time executor or the per-pair evaluator, with
-        bit-identical resulting state.  A columnar edit runs under the
-        state's plan patched to the edited function (only the edited rule
-        is re-planned); a scalar edit never reads the plan."""
+        bit-identical resulting state.  The engine goes through
+        unresolved: ``"auto"`` is decided when the edit first has rows to
+        evaluate, on the state's plan patched to the edited function (only
+        the edited rule is re-planned), which a columnar edit then runs
+        under.  An edit with no affected pair, and a scalar edit, never
+        read the plan."""
         state = self._require_state()
         result = apply_change(
             state,
             change,
-            self._engine_for(state),
+            self.engine,
             metrics=self.observability.metrics if self.observability else None,
         )
         self.history.append(result)

@@ -24,7 +24,9 @@ Next to the function the state owns that function's compiled
 :class:`~repro.engine.MatchPlan`: reading it after an edit patches it
 (:meth:`~repro.engine.MatchPlan.for_function` re-plans only the rules the
 held plan lacks), checkpoints capture it by reference, and
-:meth:`MatchState.with_rows` carries it across ingests unchanged.
+:meth:`MatchState.with_rows` carries it across ingests unchanged.  An
+``"auto"`` engine resolves against it in one place,
+:meth:`MatchState.resolve_engine`.
 
 ``MatchState`` implements the matcher's ``TraceRecorder`` protocol, so the
 initial full run and all incremental re-evaluations feed the same bitmaps.
@@ -50,12 +52,13 @@ SlotKey = Tuple[str, str]
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def check_engine(engine: str) -> None:
-    """Reject an engine :meth:`MatchState.evaluator` cannot build."""
-    if engine not in ("scalar", "columnar"):
-        raise MatchingError(
-            f"engine must be 'scalar' or 'columnar', got {engine!r}"
-        )
+def check_engine(engine: str, auto: bool = False) -> None:
+    """Reject an engine :meth:`MatchState.evaluator` cannot build or,
+    with ``auto``, one :meth:`MatchState.resolve_engine` cannot resolve."""
+    names = ("auto", "scalar", "columnar") if auto else ("scalar", "columnar")
+    if engine not in names:
+        expected = ", ".join(map(repr, names[:-1])) + f" or {names[-1]!r}"
+        raise MatchingError(f"engine must be {expected}, got {engine!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +133,11 @@ class MatchState:
         Patched when read, not when the function changes: an edit only
         assigns :attr:`function`, and the first read after it re-plans just
         the rules the held plan lacks
-        (:meth:`~repro.engine.MatchPlan.for_function`) — so scalar edits,
-        which never read the plan, never pay for it.  Sessions hand the
-        state a plan compiled against their kernels and cost estimates; a
-        state built without one compiles it on first use from its own
-        kernels, without estimates.
+        (:meth:`~repro.engine.MatchPlan.for_function`) — so edits that
+        evaluate no row, and scalar edits, never pay for it.  Sessions
+        hand the state a plan compiled against their kernels and cost
+        estimates; a state built without one compiles it on first use
+        from its own kernels, without estimates.
         """
         if self._plan is None:
             from ..engine import plan_function  # local: avoids an import cycle
@@ -154,6 +157,17 @@ class MatchState:
         # another version of the function is patched on the next read);
         # ``None`` makes the next read compile afresh.
         self._plan = plan
+
+    def resolve_engine(self, engine: str) -> str:
+        """The evaluator ``engine`` names for the function as it is now.
+
+        ``"auto"`` becomes the current plan's choice
+        (:meth:`~repro.engine.MatchPlan.engine_for`), the plan a columnar
+        evaluator built now would run; reading it patches the plan to any
+        edit since.  ``"scalar"`` and ``"columnar"`` pass through without
+        reading the plan.
+        """
+        return self.plan.engine_for(engine) if engine == "auto" else engine
 
     # ------------------------------------------------------------------
     # Construction
@@ -183,11 +197,12 @@ class MatchState:
         ``engine="columnar"`` runs the same DM+EE semantics through the
         set-at-a-time :class:`~repro.engine.ColumnarMatcher` (bit-identical
         labels, counters, and bitmaps); ``metrics`` (a registry) then
-        receives the ``engine.*`` counters.  ``plan`` (a
+        receives the ``engine.*`` counters.  ``"auto"`` resolves against
+        the state's plan (:meth:`resolve_engine`).  ``plan`` (a
         :class:`~repro.engine.MatchPlan` for ``function``) becomes the
         state's plan and drives the columnar run.
         """
-        check_engine(engine)
+        check_engine(engine, auto=True)
         if memo is None:
             names = [feature.name for feature in function.features()]
             memo = (
@@ -198,6 +213,7 @@ class MatchState:
         state = cls(
             function, candidates, memo, check_cache_first, kernels=kernels, plan=plan
         )
+        engine = state.resolve_engine(engine)
         if engine == "columnar":
             from ..engine import ColumnarMatcher  # local: avoids an import cycle
 
@@ -533,8 +549,11 @@ class MatchState:
         rule-bitmap bit marks a pair the rule is truly true for, (b) every
         set predicate-false bit marks a truly false predicate, (c) every
         matched pair's attributed rule is true and all earlier rules are
-        false, and (d) labels agree with the attribution array.  O(|C| ·
-        |rules| · |predicates|) — never call this outside tests.
+        false, (d) labels agree with the attribution array, and (e) rule
+        bits agree with the attribution both ways: a set bit in M(r)
+        marks a pair attributed to r, and every attributed pair has its
+        rule's bit set.  O(|C| · |rules| · |predicates|) — never call
+        this outside tests.
         """
         scores_cache: Dict[int, Dict[str, float]] = {}
 
@@ -571,6 +590,24 @@ class MatchState:
                         f"unsound predicate bitmap: {rule_name}:{slot} marked "
                         f"false for pair {pair_index} but evaluates true"
                     )
+        for position, rule in enumerate(self.function.rules):
+            attributed = self.attribution == position
+            bitmap = self._rule_matched.get(rule.name)
+            if bitmap is None:
+                bitmap = np.zeros_like(attributed)
+            stray = np.flatnonzero(bitmap & ~attributed)
+            if stray.size:
+                raise StateError(
+                    f"stale rule bitmap: {rule.name} marked for pair "
+                    f"{stray[0]}, which is attributed to rule "
+                    f"#{self.attribution[stray[0]]}"
+                )
+            unmarked = np.flatnonzero(attributed & ~bitmap)
+            if unmarked.size:
+                raise StateError(
+                    f"pair {unmarked[0]} attributed to {rule.name} but its "
+                    f"rule bitmap bit is clear"
+                )
         for pair_index in range(len(self.candidates)):
             attributed = int(self.attribution[pair_index])
             if (attributed >= 0) != bool(self.labels[pair_index]):

@@ -23,7 +23,9 @@ rule edit does not recompile: :meth:`MatchPlan.for_function` keeps every
 :class:`RuleStep` whose ``Rule`` object the edited function still holds
 and plans only the new ones, and each plan version decides its engine at
 most once — so an edit costs one rule's planning plus, when the session
-asks for the engine, one pass of :func:`choose_engine`'s arithmetic.
+asks for the engine, one pass of :func:`choose_engine`'s arithmetic.  An
+edit that evaluates no row asks for neither (see
+:mod:`repro.core.incremental`).
 """
 
 from __future__ import annotations
@@ -250,6 +252,11 @@ class MatchPlan:
         """The cost model's engine choice (:func:`choose_engine`), made at
         most once per plan, on first use."""
         return choose_engine(self)
+
+    def engine_for(self, engine: str) -> str:
+        """``engine`` with ``"auto"`` resolved to :attr:`decision`'s choice;
+        ``"scalar"`` and ``"columnar"`` pass through."""
+        return self.decision.engine if engine == "auto" else engine
 
     def for_function(self, function: MatchingFunction) -> "MatchPlan":
         """This plan patched to an edited version of its function.

@@ -360,20 +360,31 @@ class ParallelMatcher:
         try:
             try:
                 pool = ProcessPoolExecutor(max_workers=self.workers)
-                for task in tasks:
-                    attempts[task.chunk_id] += 1
-                    futures[task.chunk_id] = pool.submit(run_chunk, task)
             except Exception as error:  # pool refused to start
                 self._note_fallback(f"pool start failed: {error!r}")
-                pool = None
+            else:
+                try:
+                    for task in tasks:
+                        futures[task.chunk_id] = pool.submit(run_chunk, task)
+                        attempts[task.chunk_id] += 1
+                except Exception as error:
+                    # ``submit`` raises BrokenExecutor once a worker died;
+                    # anything else is a pool that could not start its
+                    # workers, which start on the first submit.
+                    if isinstance(error, BrokenExecutor):
+                        self._note_fallback(f"pool broke: {error!r}")
+                    else:
+                        self._note_fallback(f"pool start failed: {error!r}")
+                    self._pool_broken = True  # every chunk runs in the parent
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = None
 
             for task in tasks:
                 chunk_id = task.chunk_id
                 outcome: Optional[ChunkOutcome] = None
-                if pool is not None and chunk_id in futures:
+                # A broken pool downgrades every later chunk too.
+                if not self._pool_broken and chunk_id in futures:
                     outcome = self._collect(pool, futures, task, attempts)
-                    if outcome is None and self._pool_broken:
-                        pool = None  # downgrade every later chunk too
                 if outcome is None:
                     outcome = self._run_in_parent(task, attempts)
                     fallbacks.add(chunk_id)

@@ -340,9 +340,7 @@ class Workbench:
             session.state.plan if session.state is not None
             else session.compile_plan()
         )
-        resolved = (
-            plan.decision.engine if session.engine == "auto" else session.engine
-        )
+        resolved = plan.engine_for(session.engine)
         return plan.describe() + f"\nengine: {session.engine} -> {resolved}"
 
     def cmd_run(self, arguments: List[str]) -> str:

@@ -11,7 +11,9 @@ counter plumbing — with small deterministic inputs.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.core.state import MatchState
 from repro.data import CandidateSet, Table
 from repro.engine import ColumnarMatcher, MatchPlan, plan_function
 from repro.engine import executor as executor_module
+from repro.engine import plan as plan_module
 from repro.engine.plan import PlanSpec
 from repro.errors import MatchingError, ParallelExecutionError, RefinementError
 from repro.kernels import FeatureKernels
@@ -458,6 +461,54 @@ def _lifetime_edits(function):
     ]
 
 
+def _ordered_session(candidates, engine="auto"):
+    """A run session over :data:`LIFETIME_DSL` in written rule order: R1
+    matches the one matching pair of the people candidates first, so no
+    pair is attributed to R2 or R3."""
+    session = DebugSession(
+        candidates, parse_function(LIFETIME_DSL), ordering="original",
+        engine=engine,
+    )
+    session.run()
+    return session
+
+
+def _zero_row_edits(function):
+    """Edits of R2 and R3 of an :func:`_ordered_session`, none of which
+    has rows to evaluate (the added predicate is never evaluated, so
+    removing it examines no false bit either).  The
+    :func:`_lifetime_edits` built after them all still apply."""
+    jaccard = _predicate(function.rule("R1"), "jaccard_ws(name,name)")
+    trigram = _predicate(function.rule("R2"), "trigram(name,name)")
+    levenshtein = _predicate(function.rule("R3"), "levenshtein(street,street)")
+    return [
+        TightenPredicate("R3", levenshtein.slot, 0.55),
+        AddPredicate("R3", jaccard),
+        TightenPredicate("R2", trigram.slot, 0.9),
+        RemovePredicate("R3", jaccard.slot),
+    ]
+
+
+def _count_plan_work(monkeypatch):
+    """Record every plan patch (its target function) and every engine
+    decision (its plan)."""
+    patched, decided = [], []
+    for_function = MatchPlan.for_function
+    choose_engine = plan_module.choose_engine
+
+    def counting_patch(plan, function):
+        patched.append(function)
+        return for_function(plan, function)
+
+    def counting_decision(plan):
+        decided.append(plan)
+        return choose_engine(plan)
+
+    monkeypatch.setattr(MatchPlan, "for_function", counting_patch)
+    monkeypatch.setattr(plan_module, "choose_engine", counting_decision)
+    return patched, decided
+
+
 def _fresh_plan(session):
     """A from-scratch compile with the session's kernels and estimates."""
     return plan_function(
@@ -578,6 +629,71 @@ class TestPlanLifetime:
         # the first read patches once, across all twelve edits
         _assert_plan_current(session)
         assert patched == [session.state.function]
+
+    @pytest.mark.parametrize("engine", ["auto", "columnar"])
+    def test_zero_row_edits_leave_the_plan_unread(
+        self, people_candidates, monkeypatch, engine
+    ):
+        session = _ordered_session(people_candidates, engine)
+        patched, decided = _count_plan_work(monkeypatch)
+        for change in _zero_row_edits(session.function):
+            assert session.apply(change).affected_pairs == 0
+        assert patched == [] and decided == []
+        # the first read patches once, across all four edits
+        plan = session.state.plan
+        assert patched == [session.state.function]
+        assert decided == []
+        # and an edit with rows decides the engine only under "auto"
+        jaccard = _predicate(session.function.rule("R1"), "jaccard_ws(name,name)")
+        assert session.apply(
+            TightenPredicate("R1", jaccard.slot, 0.6)
+        ).affected_pairs > 0
+        assert len(patched) == 2
+        assert decided == ([session.state.plan] if engine == "auto" else [])
+        assert plan is not session.state.plan
+        _assert_plan_current(session)
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["tighten", "relax", "add_predicate", "remove_predicate",
+         "add_rule", "remove_rule"],
+    )
+    def test_decision_after_zero_row_edits_equals_a_fresh_compile(
+        self, people_candidates, kind
+    ):
+        # "auto": one patch spans the zero-row edits and the edit with rows
+        session = _ordered_session(people_candidates)
+        for change in _zero_row_edits(session.function):
+            assert session.apply(change).affected_pairs == 0
+        edits = {row[0]: row for row in _lifetime_edits(session.function)}
+        session.apply(edits[kind][1])
+        _assert_plan_current(session)
+
+    @pytest.mark.parametrize("engine", ["auto", "columnar"])
+    def test_a_patched_plan_keeps_no_predecessor_alive(
+        self, people_candidates, engine
+    ):
+        session = DebugSession(
+            people_candidates, parse_function(LIFETIME_DSL), engine=engine
+        )
+        session.run()
+        state = session.state
+        state.plan.decision
+        _, change, inverse, _ = _lifetime_edits(session.function)[0]
+        before = weakref.ref(state.plan)
+        session.apply(change)
+        state.plan  # a zero-row edit patches on the next read
+        gc.collect()
+        assert before() is None
+        checkpoint = state.checkpoint()
+        held = weakref.ref(state.plan)
+        session.apply(inverse)
+        state.plan.decision
+        gc.collect()
+        assert held() is checkpoint.plan
+        del checkpoint
+        gc.collect()
+        assert held() is None
 
     @pytest.mark.parametrize("engine", ["auto", "scalar"])
     def test_plan_size_stays_bounded_by_the_rules(self, people_candidates, engine):

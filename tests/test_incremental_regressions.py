@@ -19,6 +19,7 @@ from repro.core import (
     parse_rule,
 )
 from repro.data import CandidateSet, Record, Table
+from repro.errors import StateError
 
 
 def single_pair_candidates(values_a, values_b):
@@ -82,6 +83,36 @@ class TestRelaxThenTightenInteraction:
         apply_change(state, RemoveRule("R"))
         assert state.labels[0]
         assert_consistent(state)
+
+
+class TestSoundnessCheck:
+    """``check_soundness`` must see rule bits that disagree with the
+    attribution even where both rules are true for the pair, so the
+    truth checks alone pass."""
+
+    def relaxed_state(self):
+        state = TestRelaxThenTightenInteraction().make_state()
+        slot = state.function.rule("Q").predicates[0].slot
+        apply_change(state, RelaxPredicate("Q", slot, -0.5))
+        state.check_soundness()
+        return state
+
+    def test_stale_bit_of_the_old_rule_is_caught(self):
+        # What an Algorithm 8 re-attribution that skipped clearing the old
+        # rule's bit would leave: M(R) still marks the pair, now attributed
+        # to Q.
+        state = self.relaxed_state()
+        state.record_rule_match(0, "R")
+        state.attribution[0] = 0
+        with pytest.raises(StateError, match="stale rule bitmap: R"):
+            state.check_soundness()
+
+    def test_attributed_pair_without_its_bit_is_caught(self):
+        state = self.relaxed_state()
+        state.clear_rule_match_rows([0], "Q")
+        state.attribution[0] = 0
+        with pytest.raises(StateError, match="attributed to Q but"):
+            state.check_soundness()
 
 
 class TestPredicateBitmapStaleness:

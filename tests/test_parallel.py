@@ -8,6 +8,9 @@ worker count, chunking, or fault-recovery path produced it.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -348,6 +351,46 @@ class TestFaultRecovery:
         assert np.array_equal(result.labels, serial.labels)
         assert "pool broke" in matcher.fallback_reason
         assert any(t.fallback for t in result.stats.worker_timings)
+
+    @pytest.mark.parametrize(
+        "error, failing_call, reason",
+        [
+            # A worker that dies while tasks are still being submitted
+            # breaks the pool under the submit loop.
+            (BrokenProcessPool("a worker died"), 2, "pool broke: BrokenProcessPool"),
+            # Workers start on the first submit, so a pool that cannot
+            # start them fails there.
+            (RuntimeError("can't start new thread"), 1,
+             "pool start failed: RuntimeError"),
+        ],
+        ids=["broken", "start_failed"],
+    )
+    def test_pool_failing_during_submission_runs_every_chunk_in_parent(
+        self, small_workload, monkeypatch, error, failing_call, reason
+    ):
+        candidates, function = small_workload
+        serial = DynamicMemoMatcher().run(function, candidates)
+        submit, shutdown = ProcessPoolExecutor.submit, ProcessPoolExecutor.shutdown
+        submitted, shut_down = [], []
+
+        def failing_submit(pool, *args, **kwargs):
+            submitted.append(pool)
+            if len(submitted) == failing_call:
+                raise error
+            return submit(pool, *args, **kwargs)
+
+        def recording_shutdown(pool, *args, **kwargs):
+            shut_down.append(pool)
+            return shutdown(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", failing_submit)
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown", recording_shutdown)
+        matcher = ParallelMatcher(workers=2, **FAST)
+        result = matcher.run(function, candidates)
+        assert np.array_equal(result.labels, serial.labels)
+        assert matcher.fallback_reason.startswith(reason)
+        assert shut_down == [submitted[0]]
+        assert all(timing.fallback for timing in result.stats.worker_timings)
 
     def test_memo_correct_after_fallback(self, small_workload):
         candidates, function = small_workload
