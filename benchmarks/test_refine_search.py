@@ -13,11 +13,14 @@ thing fast.  Results land in ``benchmarks/BENCH_refine_search.json`` for
 the CI history.
 
 The same search also runs on the columnar engine over a kernel-backed
-state, as a session runs it, twice per interleaved pair: once as shipped
-(few-row calls per pair) and once with ``PAIR_ROWS`` pinned to 0 (every
-call columnar).  The two must report identically, and the per-pair rate
-must beat the all-columnar one by a floor set well below the measured
-ratio — a ratio, so that it holds on any host.
+state, as a session runs it, three times per interleaved round: as
+shipped (few-row calls per pair, warm rules decided in one array pass),
+with ``PAIR_ROWS`` pinned to 0 (every call columnar), and with the
+per-pair path's decision pass patched out (``DECIDE_ROW_RULES`` pinned
+above every call, so few-row calls walk every rule pair by pair).  All
+three must report identically, and the shipped rate must beat each of
+the other two by a floor set well below the measured ratio — ratios, so
+that they hold on any host.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import MatchingFunction, MatchState, Rule
+from repro.core import matchers
 from repro.engine import executor
 from repro.kernels import FeatureKernels
 from repro.refine import RefineConfig, RefinementSearch
@@ -39,13 +43,26 @@ from conftest import print_series, rule_subset
 #: floor asserted by this bench (candidate edits scored per second).
 MIN_CANDIDATES_PER_SECOND = 100.0
 #: floor on per-pair ÷ all-columnar candidates/s of the columnar search
-#: (median over pairs of back-to-back runs; read 1.31-1.49 on a 2-vCPU VM).
+#: (median over rounds of back-to-back runs; read 1.31-1.49 on a 2-vCPU
+#: VM over 1,200 pairs and 40 rules, 1.40-1.55 on the columnar state).
 MIN_PAIR_ROWS_SPEEDUP = 1.1
-#: interleaved (per-pair, all-columnar) search pairs behind the medians.
+#: floor on shipped ÷ no-decision-pass candidates/s of the columnar
+#: search (median over rounds; read 1.18-1.29 on a 2-vCPU VM).
+MIN_DECISION_SPEEDUP = 1.05
+#: interleaved (shipped, all-columnar, no-decision) search rounds
+#: behind the medians.
 RATIO_PAIRS = 11
+#: ``DECIDE_ROW_RULES`` above every call: the decision pass never runs.
+NO_DECISION = 10**9
 
 BENCH_RULES = 40
 BENCH_PAIRS = 1200
+#: The columnar sides' state: closer to a session's (the products 0.3
+#: perfbench session holds 79 rules over 2,510 pairs), so that an edit
+#: re-matches several pairs through many rules, as in a session, where
+#: on the scalar search's state it re-matches about one pair.
+COLUMNAR_RULES = 80
+COLUMNAR_PAIRS = 2500
 
 
 def seed_bugs(function: MatchingFunction) -> MatchingFunction:
@@ -81,23 +98,35 @@ def buggy_state(products_workload, bench_candidates):
 
 
 @pytest.fixture(scope="module")
-def columnar_state(buggy_state):
-    """The buggy function over the same pairs, materialized as a session
-    does it: kernels with bounds, the columnar engine."""
-    state, _ = buggy_state
+def columnar_state(products_workload):
+    """A buggy function of ``COLUMNAR_RULES`` rules over
+    ``COLUMNAR_PAIRS`` pairs, materialized as a session does it: kernels
+    with bounds, the columnar engine."""
+    candidates = products_workload.candidates.subset(range(COLUMNAR_PAIRS))
+    function = seed_bugs(
+        rule_subset(products_workload.function, COLUMNAR_RULES, seed=5)
+    )
     kernels = FeatureKernels(use_bounds=True)
     columnar, _ = MatchState.from_initial_run(
-        state.function, state.candidates, kernels=kernels, engine="columnar"
+        function, candidates, kernels=kernels, engine="columnar"
     )
     return columnar, kernels
 
 
-def columnar_search(state, gold, config, kernels, pair_rows=None):
-    """One columnar search, ``PAIR_ROWS`` pinned when given; returns the
-    report and its candidates per second."""
+#: The columnar search's variants: module attribute pins per side.
+SIDES = {
+    "shipped": (),
+    "all_columnar": ((executor, "PAIR_ROWS", 0),),
+    "no_decision": ((matchers, "DECIDE_ROW_RULES", NO_DECISION),),
+}
+
+
+def columnar_search(state, gold, config, kernels, side="shipped"):
+    """One columnar search with the ``side``'s pins; returns the report
+    and its candidates per second."""
     with pytest.MonkeyPatch.context() as patch:
-        if pair_rows is not None:
-            patch.setattr(executor, "PAIR_ROWS", pair_rows)
+        for module, name, value in SIDES[side]:
+            patch.setattr(module, name, value)
         begin = time.perf_counter()
         report = RefinementSearch(
             state, gold, config=config, kernels=kernels, engine="columnar"
@@ -137,24 +166,30 @@ def test_refine_search_throughput(benchmark, buggy_state, columnar_state):
     per_second = report.candidates_scored / wall if wall else float("inf")
 
     # One search lasts ~0.1 s, so single runs swing with the host's speed:
-    # each pair runs back to back (alternating which side goes first),
-    # and the floor applies to the median of the pairs' ratios.
+    # each round runs the three sides back to back (rotating which goes
+    # first), and the floors apply to the medians of the rounds' ratios.
     columnar, kernels = columnar_state
     columnar_search(columnar, gold, config, kernels)  # fills the memo
-    per_pair_rates, all_columnar_rates = [], []
+    names = list(SIDES)
+    rates = {name: [] for name in names}
     for index in range(RATIO_PAIRS):
-        sides = [None, 0] if index % 2 == 0 else [0, None]
+        order = names[index % 3 :] + names[: index % 3]
         runs = {
-            pair_rows: columnar_search(columnar, gold, config, kernels, pair_rows)
-            for pair_rows in sides
+            name: columnar_search(columnar, gold, config, kernels, name)
+            for name in order
         }
-        assert report_key(runs[None][0]) == report_key(runs[0][0])
-        per_pair_rates.append(runs[None][1])
-        all_columnar_rates.append(runs[0][1])
-    per_pair_rate = statistics.median(per_pair_rates)
-    all_columnar_rate = statistics.median(all_columnar_rates)
+        keys = {name: report_key(runs[name][0]) for name in names}
+        assert keys["shipped"] == keys["all_columnar"] == keys["no_decision"]
+        for name in names:
+            rates[name].append(runs[name][1])
+    per_pair_rate, all_columnar_rate, no_decision_rate = (
+        statistics.median(rates[name]) for name in names
+    )
     pair_rows_speedup = statistics.median(
-        fast / slow for fast, slow in zip(per_pair_rates, all_columnar_rates)
+        fast / slow for fast, slow in zip(rates["shipped"], rates["all_columnar"])
+    )
+    decision_speedup = statistics.median(
+        fast / slow for fast, slow in zip(rates["shipped"], rates["no_decision"])
     )
 
     print_series(
@@ -168,9 +203,12 @@ def test_refine_search_throughput(benchmark, buggy_state, columnar_state):
             ["rounds", report.rounds],
             ["wall time", f"{wall:.2f}s"],
             ["throughput", f"{per_second:.0f} candidates/s"],
+            ["columnar state", f"{COLUMNAR_PAIRS} pairs, {COLUMNAR_RULES} rules"],
             ["columnar, few rows per pair", f"{per_pair_rate:.0f} candidates/s"],
             ["columnar, PAIR_ROWS=0", f"{all_columnar_rate:.0f} candidates/s"],
+            ["columnar, no decision pass", f"{no_decision_rate:.0f} candidates/s"],
             ["per-pair speedup", f"{pair_rows_speedup:.2f}x"],
+            ["decision-pass speedup", f"{decision_speedup:.2f}x"],
             ["baseline F1", f"{report.baseline.f1:.3f}"],
             ["best F1", f"{report.best.f1:.3f}"],
             ["frontier size", len(report.frontier)],
@@ -186,10 +224,16 @@ def test_refine_search_throughput(benchmark, buggy_state, columnar_state):
         "rounds": report.rounds,
         "wall_seconds": wall,
         "candidates_per_second": per_second,
+        "columnar_pairs": COLUMNAR_PAIRS,
+        "columnar_rules": COLUMNAR_RULES,
         "columnar_pair_rows": executor.PAIR_ROWS,
         "columnar_per_pair_candidates_per_second": per_pair_rate,
         "columnar_all_columnar_candidates_per_second": all_columnar_rate,
         "pair_rows_speedup": pair_rows_speedup,
+        "columnar_decide_row_rules": matchers.DECIDE_ROW_RULES,
+        "columnar_no_decision_candidates_per_second": no_decision_rate,
+        "decision_speedup": decision_speedup,
+        "min_decision_speedup": MIN_DECISION_SPEEDUP,
         "baseline_f1": report.baseline.f1,
         "best_f1": report.best.f1,
         "frontier_size": len(report.frontier),
@@ -215,4 +259,10 @@ def test_refine_search_throughput(benchmark, buggy_state, columnar_state):
         f"per-pair {per_pair_rate:.0f} vs all-columnar "
         f"{all_columnar_rate:.0f} candidates/s ({pair_rows_speedup:.2f}x); "
         f"floor is {MIN_PAIR_ROWS_SPEEDUP:.2f}x"
+    )
+    # 5. the decision pass pays on those few-row calls.
+    assert decision_speedup >= MIN_DECISION_SPEEDUP, (
+        f"decision pass {per_pair_rate:.0f} vs walk only "
+        f"{no_decision_rate:.0f} candidates/s ({decision_speedup:.2f}x); "
+        f"floor is {MIN_DECISION_SPEEDUP:.2f}x"
     )

@@ -101,6 +101,10 @@ class Estimates:
     _predicate_masks: Dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: sel(p) by pid: the mean of the mask beside it, taken once.
+    _selectivities: Dict[str, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _joint_cache: Dict[Tuple[str, ...], float] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -148,7 +152,11 @@ class Estimates:
         """sel(p): fraction of sample pairs on which the predicate is true."""
         if self.sample_size == 0:
             return 0.0
-        return float(self._mask(predicate).mean())
+        selectivity = self._selectivities.get(predicate.pid)
+        if selectivity is None:
+            selectivity = float(self._mask(predicate).mean())
+            self._selectivities[predicate.pid] = selectivity
+        return selectivity
 
     def joint_selectivity(self, predicates: Sequence[Predicate]) -> float:
         """Empirical selectivity of a conjunction over the sample.
@@ -591,11 +599,14 @@ class CostEstimator:
         for name, feature in features.items():
             use_kernel = kernels is not None and kernels.supports(feature)
             if use_kernel:
-                # Warm the token cache untimed, then time the warm path —
-                # in a real run every record is touched by many pairs and
-                # features, so warm is the representative regime.
-                for pair in pairs:
-                    kernels.compute(feature, pair)
+                if self.mode == "measured":
+                    # Warm the token cache untimed, then time the warm
+                    # path — in a real run every record is touched by
+                    # many pairs and features, so warm is the
+                    # representative regime.  Calibrated costs are not
+                    # timed, so one pass gives the values.
+                    for pair in pairs:
+                        kernels.compute(feature, pair)
                 started = time.perf_counter()
                 values = np.fromiter(
                     (kernels.compute(feature, pair) for pair in pairs),
@@ -633,16 +644,29 @@ class CostEstimator:
                 if self.mode == "measured"
                 else CALIBRATED_BOUND_COST
             )
+            # One bound per (feature, sample pair), shared by every
+            # predicate on the feature.
+            bounds: Dict[str, List[float]] = {}
             for rule in function.rules:
                 for predicate in rule.predicates:
                     if predicate.pid in bound_skip_rates:
                         continue
-                    if not kernels.supports(predicate.feature):
+                    feature = predicate.feature
+                    if not kernels.supports(feature):
                         continue
+                    sample_bounds = bounds.get(feature.name)
+                    if sample_bounds is None:
+                        sample_bounds = bounds[feature.name] = [
+                            bound
+                            for bound in (
+                                kernels.bound_value(feature, pair) for pair in pairs
+                            )
+                            if bound is not None
+                        ]
                     decided = sum(
                         1
-                        for pair in pairs
-                        if kernels.bound_decision(predicate, pair) is not None
+                        for bound in sample_bounds
+                        if kernels.decide(predicate, bound) is not None
                     )
                     if decided:
                         bound_skip_rates[predicate.pid] = decided / len(pairs)

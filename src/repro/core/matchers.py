@@ -23,11 +23,14 @@ incremental algorithms (§6), which re-evaluate rule fragments for affected
 pairs with exactly the same memo/recording semantics as a full run.
 :class:`PairRows` puts it behind the row-evaluator protocol of
 :mod:`repro.core.incremental` — the scalar engine of those algorithms, and
-how the columnar executor runs its few-row calls pair by pair.
+how the columnar executor runs its few-row calls pair by pair, after one
+array pass has decided every rule the rows' memoized values settle.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 import time
 from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from ..data.pairs import CandidatePair, CandidateSet, PairId
 from ..errors import MatchingError
-from .memo import ArrayMemo, FeatureMemo, HashMemo, ValueCache
+from .memo import ArrayMemo, FeatureMemo, HashMemo, ValueCache, feature_id
 from .rules import Feature, MatchingFunction, Predicate, Rule
 from .stats import MatchStats
 
@@ -331,6 +334,128 @@ class PairEvaluator:
         return None
 
 
+def _compiled_bound(op: str, threshold: float) -> Tuple[float, float]:
+    """``(sign, bound)`` with ``value * sign >= bound`` equal to the
+    predicate's comparison for every float ``value`` (``==`` aside).
+
+    ``<=``/``<`` negate both sides (exact in floating point); a strict
+    comparison becomes ``>=`` against the next float up.  Nothing exceeds
+    ``+inf``, so that bound is NaN, which every comparison fails.
+    """
+    sign = -1.0 if op in ("<=", "<") else 1.0
+    bound = threshold * sign
+    if op in (">", "<"):
+        bound = math.nan if bound == math.inf else math.nextafter(bound, math.inf)
+    return sign, bound
+
+
+#: A :meth:`PairRows.match_rows` call decides in one array pass when its
+#: rows times the rules it covers reach this; smaller calls only walk.
+#: The pass costs a fixed NumPy overhead, the walk a few microseconds
+#: per row and rule; docs/performance.md records the sweep.
+DECIDE_ROW_RULES = 128
+
+#: Slots per rule in the decision pass: a rule's memo flags are 8 bool
+#: bytes, read as one little-endian uint64 word.
+_SLOTS = 8
+#: One 0x01 byte per slot: a word whose every slot is set.
+_EVERY_SLOT = np.uint64(0x0101010101010101)
+
+
+class _RuleArrays:
+    """One rule compiled for the decision pass of :meth:`PairRows.match_rows`.
+
+    ``table`` is ``5 x 1 x 8`` float64, one column per predicate slot in the
+    rule's order: its feature's :func:`~repro.core.memo.feature_id`, the
+    ``sign`` and ``bound`` of :func:`_compiled_bound`, 1.0 for an ``==``,
+    and 1.0 for a predicate (0.0 for the padding past the rule's end,
+    which repeats its last feature).  ``None`` for a rule of more than 8
+    predicates.  ``keys`` are the predicates' bitmap keys, (rule name,
+    slot).  Independent of any memo, so it is built once per
+    :class:`Rule` and cached on it.
+    """
+
+    __slots__ = ("table", "keys")
+
+    def __init__(self, rule: Rule):
+        predicates = rule.predicates
+        self.keys = tuple((rule.name, p.slot) for p in predicates)
+        self.table = None
+        if len(predicates) <= _SLOTS:
+            columns = [
+                (
+                    feature_id(p.feature.name),
+                    *_compiled_bound(p.op, p.threshold),
+                    p.op == "==",
+                    1.0,
+                )
+                for p in predicates
+            ]
+            padding = (columns[-1][0], 1.0, -math.inf, 0.0, 0.0)
+            columns += [padding] * (_SLOTS - len(columns))
+            self.table = np.ascontiguousarray(
+                np.array(columns, dtype=np.float64).T[:, None, :]
+            )
+
+
+def _rule_arrays(rule: Rule) -> _RuleArrays:
+    arrays = rule._arrays
+    if arrays is None:
+        arrays = rule._arrays = _RuleArrays(rule)
+    return arrays
+
+
+class _SuffixPlan:
+    """A rule sequence laid out for the decision pass: predicate ``k`` of
+    rule ``r`` sits at ``[r, k]`` of ``rules x 8`` arrays.  Holds the
+    rules, so the :data:`_SUFFIX_PLANS` key (their ids) stays theirs.
+    ``feature_ids`` is ``None`` when some rule has more than 8
+    predicates."""
+
+    __slots__ = (
+        "rules", "feature_ids", "signs", "bounds", "real", "padding", "equal",
+        "lengths", "keys",
+    )
+
+    def __init__(self, rules: Tuple[Rule, ...]):
+        self.rules = rules
+        arrays = [rule._arrays or _rule_arrays(rule) for rule in rules]
+        self.feature_ids = None
+        if any(compiled.table is None for compiled in arrays):
+            return
+        feature_ids, self.signs, self.bounds, equal, real = np.concatenate(
+            [compiled.table for compiled in arrays], axis=1
+        )
+        self.feature_ids = feature_ids.astype(np.int64)
+        self.equal = np.flatnonzero(equal)
+        self.real = real > 0
+        self.padding = ~self.real
+        self.lengths = self.real.sum(axis=1)
+        #: ``keys[r][k]``: the bitmap key of predicate ``k`` of rule ``r``.
+        self.keys = tuple(compiled.keys for compiled in arrays)
+
+
+#: The last ``_SUFFIX_PLANS_LIMIT`` :class:`_SuffixPlan` s built, keyed by
+#: their rules' ids.  Calls from one edited rule onward share a suffix
+#: however the rules before it changed, so few distinct suffixes serve a
+#: whole refinement search.
+_SUFFIX_PLANS: dict = {}
+_SUFFIX_PLANS_LIMIT = 64
+_SUFFIX_PLANS_LOCK = threading.Lock()
+
+
+def _suffix_plan(rules: Tuple[Rule, ...]) -> _SuffixPlan:
+    key = tuple(map(id, rules))
+    plan = _SUFFIX_PLANS.get(key)
+    if plan is None:
+        plan = _SuffixPlan(rules)
+        with _SUFFIX_PLANS_LOCK:
+            _SUFFIX_PLANS[key] = plan
+            while len(_SUFFIX_PLANS) > _SUFFIX_PLANS_LIMIT:
+                del _SUFFIX_PLANS[next(iter(_SUFFIX_PLANS))]
+    return plan
+
+
 class PairRows:
     """A :class:`PairEvaluator` behind the row-evaluator protocol.
 
@@ -344,6 +469,12 @@ class PairRows:
     and the executor hands its few-row ``match_rows`` calls here: a pair
     costs a few dict lookups per predicate, where a columnar rule step
     pays a fixed NumPy cost however few rows it holds.
+
+    Over an :class:`~repro.core.memo.ArrayMemo`, :meth:`match_rows` first
+    decides in one array pass every rule whose outcome the rows' memoized
+    values already settle (:meth:`_decide`); each row then walks
+    :meth:`PairEvaluator.first_matching_rule` only from its first rule
+    that needs a computation.
     """
 
     __slots__ = ("evaluator", "candidates", "rules", "rows")
@@ -376,24 +507,228 @@ class PairRows:
         ]
 
     def match_rows(self, rows: np.ndarray, start_rule: int = 0) -> np.ndarray:
-        """Match labels for ``rows`` over ``rules[start_rule:]``, as a bool
-        mask aligned with ``rows``; matches are recorded, labels are not
-        written."""
+        """Match labels for ``rows`` (distinct) over ``rules[start_rule:]``,
+        as a bool mask aligned with ``rows``; matches are recorded, labels
+        are not written."""
         rows = np.asarray(rows, dtype=np.int64)
         self.rows += int(rows.size)
+        labels = np.zeros(int(rows.size), dtype=bool)
+        walks = self._decide(rows, start_rule, labels)
         candidates = self.candidates
-        rules = self.rules[start_rule:]
+        rules = self.rules
         first_matching_rule = self.evaluator.first_matching_rule
-        return np.array(
-            [
-                first_matching_rule(candidates[row], rules) is not None
-                for row in rows.tolist()
-            ],
-            dtype=bool,
+        row_list = rows.tolist()
+        for position, rule in walks:
+            labels[position] = (
+                first_matching_rule(candidates[row_list[position]], rules[rule:])
+                is not None
+            )
+        return labels
+
+    # -- the decision pass ------------------------------------------------
+
+    def _decide(self, rows: np.ndarray, start_rule: int, labels: np.ndarray):
+        """Decide from memoized values what the walk would, for all rows.
+
+        A rule is *decided false* for a row when the walk would reach a
+        memoized false predicate before any unmemoized one: with
+        check-cache-first, when any memoized predicate is false (the walk
+        runs those first, in static order); without, when the first
+        predicate in static order that is not memoized-and-true is
+        memoized and false.  It is *decided true* when every predicate is
+        memoized and true.  Each row's rules are decided in order up to
+        the first that is not decided false, and the decided ones are
+        recorded exactly as the walk records them: the first false
+        predicate's bit, the match and its attribution, the counters and
+        the profiler counts.
+
+        Sets ``labels`` for the rows a decided-true rule matched and
+        returns ``(position, rule)`` pairs: the rows left to walk and the
+        rule each walk starts at, its first undecided one.  Without an
+        :class:`~repro.core.memo.ArrayMemo`, or when no row has a memoized
+        value, every row walks from ``start_rule``.
+        """
+        memo = self.evaluator.memo
+        n_rules = len(self.rules) - start_rule
+        every_row = [(position, start_rule) for position in range(int(rows.size))]
+        if (
+            type(memo) is not ArrayMemo
+            or memo.dtype != np.float64
+            or n_rules <= 0
+            or len(every_row) * n_rules < DECIDE_ROW_RULES
+        ):
+            return every_row
+        warm = memo.has_entries(rows)
+        if not warm.any():
+            return every_row
+        plan = _suffix_plan(self.rules[start_rule:])
+        if plan.feature_ids is None:
+            return every_row
+        walks = [(position, start_rule) for position in np.flatnonzero(~warm).tolist()]
+        positions = np.flatnonzero(warm)
+        walks += self._decide_rules(plan, rows, positions, start_rule, labels)
+        return walks
+
+    def _decide_rules(
+        self,
+        plan: _SuffixPlan,
+        rows: np.ndarray,
+        positions: np.ndarray,
+        first: int,
+        labels: np.ndarray,
+    ) -> List[Tuple[int, int]]:
+        """The decision over ``plan.rules`` (``rules[first:]``) for
+        ``rows[positions]``; returns the walks of the rows it stopped at
+        an undecided rule.
+
+        Per (row, rule) the rule's memoized, false and true-or-padding
+        slots are three uint64 words of 0x01/0x00 bytes, slot 0 lowest:
+        ``x & -x`` isolates a word's first set slot, and a byte sum counts
+        the memoized predicates the walk evaluates up to it.
+        """
+        evaluator = self.evaluator
+        memo = evaluator.memo
+        profiler = evaluator.profiler
+        started = profiler.clock() if profiler is not None else 0.0
+        block = rows[positions]
+        n_rows = int(block.size)
+        valid, values = memo.gather(block, memo.column_map().take(plan.feature_ids))
+        valid &= plan.real
+        truth = values * plan.signs >= plan.bounds
+        if plan.equal.size:
+            equal = plan.equal
+            truth.reshape(n_rows, -1)[:, equal] = (
+                values.reshape(n_rows, -1)[:, equal] == plan.bounds.ravel()[equal]
+            )
+        ok = valid & truth
+        false = valid ^ ok
+        ok |= plan.padding
+        valid_words = valid.view("<u8")[..., 0]
+        false_words = false.view("<u8")[..., 0]
+        ok_words = ok.view("<u8")[..., 0]
+        if evaluator.check_cache_first:
+            first_false = false_words & (~false_words + np.uint64(1))
+            decided_false = first_false != 0
+        else:
+            not_ok = ok_words ^ _EVERY_SLOT
+            first_false = not_ok & (~not_ok + np.uint64(1))
+            decided_false = (false_words & first_false) != 0
+
+        n_rules = len(plan.rules)
+        undecided = ~decided_false
+        stop = undecided.argmax(axis=1)
+        through = ~undecided[np.arange(n_rows), stop]
+        stop[through] = n_rules
+        # A row's rule at ``stop`` matches when every slot is true; rows
+        # decided false through every rule read rule 0, decided false.
+        matched = ok_words[np.arange(n_rows), stop % n_rules] == _EVERY_SLOT
+        falses = np.arange(n_rules) < stop[:, None]
+        false_rows, false_rules = np.nonzero(falses)
+        first_false = first_false[false_rows, false_rules]
+        matched_rows = np.flatnonzero(matched)
+        matched_at = stop[matched_rows]
+
+        # A decided-false rule's walk evaluates its memoized predicates up
+        # to the first false one; a matching rule's, all of them.
+        up_to = (first_false << np.uint64(8)) - np.uint64(1)
+        counts = (valid_words[false_rows, false_rules] & up_to) * _EVERY_SLOT
+        n_evaluated = int((counts >> np.uint64(56)).sum()) + int(
+            plan.lengths[matched_at].sum()
         )
+        n_rule_evaluations = int(false_rows.size) + int(matched_rows.size)
+        stats = evaluator.stats
+        stats.rule_evaluations += n_rule_evaluations
+        stats.predicate_evaluations += n_evaluated
+        stats.memo_hits += n_evaluated
+
+        rules = plan.rules
+        recorder = evaluator.recorder
+        if recorder is not None and false_rows.size:
+            slots = false_rules * _SLOTS + (np.log2(first_false).astype(np.int64) >> 3)
+            order = slots.argsort(kind="stable")
+            slots = slots[order]
+            starts = np.flatnonzero(np.diff(slots, prepend=-1))
+            keys = plan.keys
+            _record_false_groups(
+                recorder,
+                block[false_rows[order]],
+                [keys[slot >> 3][slot & 7] for slot in slots[starts].tolist()],
+                [*starts.tolist(), len(slots)],
+            )
+        if recorder is not None and matched_rows.size:
+            for rule in np.unique(matched_at).tolist():
+                record_rule_match_rows(
+                    recorder, block[matched_rows[matched_at == rule]], rules[rule].name
+                )
+        labels[positions[matched_rows]] = True
+
+        if profiler is not None:
+            last = np.full((n_rows, n_rules), -1)
+            last[false_rows, false_rules] = np.log2(first_false).astype(np.int64) >> 3
+            last[matched_rows, matched_at] = plan.lengths[matched_at] - 1
+            evaluated = valid & (np.arange(_SLOTS) <= last[..., None])
+            evals = evaluated.sum(axis=0)
+            trues = (evaluated & truth).sum(axis=0)
+            for rule, slot in zip(*np.nonzero(evals)):
+                profiler.record_predicate_bulk(
+                    rules[rule].predicates[slot].pid,
+                    int(evals[rule, slot]),
+                    int(trues[rule, slot]),
+                )
+            per_rule = falses.sum(axis=0)
+            np.add.at(per_rule, matched_at, 1)
+            seconds = (profiler.clock() - started) / max(n_rule_evaluations, 1)
+            for rule in np.flatnonzero(per_rule).tolist():
+                name = rules[rule].name
+                sampled = profiler.count_rules(name, int(per_rule[rule]))
+                if sampled:
+                    profiler.record_rule_bulk(name, sampled, seconds)
+
+        handed = ~through & ~matched
+        return list(zip(positions[handed].tolist(), (stop[handed] + first).tolist()))
 
     def report_metrics(self, registry) -> None:
         """Nothing to fold: the per-pair path keeps no engine counters."""
+
+
+def record_rule_match_rows(recorder, rows: np.ndarray, rule_name: str) -> None:
+    """Record ``rule_name`` matching each of ``rows``: in one call when
+    ``recorder`` has the bulk ``record_rule_match_rows``, else per row."""
+    if recorder is None or rows.size == 0:
+        return
+    bulk = getattr(recorder, "record_rule_match_rows", None)
+    if bulk is not None:
+        bulk(rows, rule_name)
+        return
+    for row in rows.tolist():
+        recorder.record_rule_match(row, rule_name)
+
+
+def record_predicate_false_rows(
+    recorder, rows: np.ndarray, rule_name: str, slot: str
+) -> None:
+    """Record the predicate ``(rule_name, slot)`` false on each of
+    ``rows``: in one call when ``recorder`` has the bulk
+    ``record_predicate_false_rows``, else per row."""
+    if recorder is None or rows.size == 0:
+        return
+    bulk = getattr(recorder, "record_predicate_false_rows", None)
+    if bulk is not None:
+        bulk(rows, rule_name, slot)
+        return
+    for row in rows.tolist():
+        recorder.record_predicate_false(row, rule_name, slot)
+
+
+def _record_false_groups(recorder, rows, keys, bounds) -> None:
+    """Record ``rows[bounds[i]:bounds[i + 1]]`` false on the predicate
+    ``keys[i]`` (a (rule name, slot) pair) for every ``i``."""
+    grouped = getattr(recorder, "record_predicate_false_groups", None)
+    if grouped is not None:
+        grouped(rows, keys, bounds)
+        return
+    for key, start, end in zip(keys, bounds, bounds[1:]):
+        record_predicate_false_rows(recorder, rows[start:end], *key)
 
 
 class Matcher:

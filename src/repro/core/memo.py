@@ -22,6 +22,7 @@ computation.  Matchers can layer it under either memo.
 from __future__ import annotations
 
 import sys
+import threading
 from abc import ABC, abstractmethod
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union,
@@ -34,6 +35,25 @@ from ..errors import MatchingError, UnknownFeatureError
 #: How ``update_from`` translates the source memo's pair indices into the
 #: destination's: a mapping, a callable, or ``None`` for identity.
 IndexMap = Union[Mapping[int, int], Callable[[int], int], None]
+
+#: Process-wide small integer ids of feature names (see :func:`feature_id`).
+_FEATURE_IDS: Dict[str, int] = {}
+_FEATURE_IDS_LOCK = threading.Lock()
+
+
+def feature_id(feature_name: str) -> int:
+    """A process-wide small integer id for ``feature_name``.
+
+    Ids are handed out on first use and never change, so an evaluator can
+    compile a rule's features into an int array once and address the
+    columns of any :class:`ArrayMemo` through its
+    :meth:`~ArrayMemo.column_map`, whatever the memo's column layout.
+    """
+    found = _FEATURE_IDS.get(feature_name)
+    if found is None:
+        with _FEATURE_IDS_LOCK:
+            found = _FEATURE_IDS.setdefault(feature_name, len(_FEATURE_IDS))
+    return found
 
 
 class FeatureMemo(ABC):
@@ -234,6 +254,9 @@ class ArrayMemo(FeatureMemo):
         self._values = np.zeros((n_pairs, capacity), dtype=dtype)
         self._valid = np.zeros((n_pairs, capacity), dtype=bool)
         self._entries = 0
+        # column_map()'s array; None until asked for, reset when a column
+        # is added or the layout is replaced.
+        self._column_map: Optional[np.ndarray] = None
         for name in initial:
             self.ensure_feature(name)
 
@@ -251,7 +274,38 @@ class ArrayMemo(FeatureMemo):
             valid[:, : self._valid.shape[1]] = self._valid
             self._values, self._valid = values, valid
         self._columns[feature_name] = column
+        self._column_map = None
         return column
+
+    def column_map(self) -> np.ndarray:
+        """The memo column of every :func:`feature_id` handed out so far,
+        as an int64 array indexed by id; -1 where the feature has no
+        column.  Kept until a column is added or the layout replaced."""
+        column_map = self._column_map
+        if column_map is None or len(column_map) < len(_FEATURE_IDS):
+            ids = [feature_id(name) for name in self._columns]
+            column_map = np.full(len(_FEATURE_IDS), -1, dtype=np.int64)
+            column_map[ids] = list(self._columns.values())
+            self._column_map = column_map
+        return column_map
+
+    def has_entries(self, rows) -> np.ndarray:
+        """Bool mask over ``rows``: which pairs have any memoized value."""
+        return self._valid[rows].any(axis=1)
+
+    def gather(self, rows, columns) -> Tuple[np.ndarray, np.ndarray]:
+        """Validity and float64 values over ``rows`` x ``columns``.
+
+        ``columns`` (any shape) are memo columns as :meth:`column_map`
+        gives them; a column of -1 reads as invalid.  The blocks have
+        shape ``(len(rows), *columns.shape)``; values of invalid entries
+        are arbitrary.
+        """
+        valid = self._valid.take(rows, 0).take(columns, 1)
+        if columns.size and columns.min() < 0:
+            valid &= columns >= 0
+        values = self._values.take(rows, 0).take(columns, 1)
+        return valid, values.astype(np.float64, copy=False)
 
     def _column(self, feature_name: str) -> int:
         column = self._columns.get(feature_name)
@@ -378,6 +432,7 @@ class ArrayMemo(FeatureMemo):
     def restore(self, snapshot: object) -> None:
         columns, values, valid, entries = snapshot
         self._columns = dict(columns)
+        self._column_map = None
         self._values = values.copy()
         self._valid = valid.copy()
         self._entries = entries

@@ -167,7 +167,10 @@ class Rule:
     the incremental bitmaps' slot identity.
     """
 
-    __slots__ = ("name", "predicates")
+    # ``_arrays`` caches the rule's compiled form for row evaluators
+    # (:class:`repro.core.matchers.PairRows`); derived data, built on
+    # first use and never part of the rule's identity.
+    __slots__ = ("name", "predicates", "_arrays")
 
     def __init__(self, name: str, predicates: Sequence[Predicate]):
         if not predicates:
@@ -181,6 +184,7 @@ class Rule:
             )
         self.name = name
         self.predicates: Tuple[Predicate, ...] = tuple(predicates)
+        self._arrays = None
 
     def features(self) -> List[Feature]:
         """Distinct features, in first-appearance order."""

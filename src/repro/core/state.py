@@ -301,6 +301,17 @@ class MatchState:
     def record_predicate_false_rows(self, rows, rule_name: str, slot: str) -> None:
         self._slot_bitmap((rule_name, slot))[rows] = True
 
+    def record_predicate_false_groups(self, rows, keys, bounds) -> None:
+        """``rows[bounds[i]:bounds[i + 1]]`` false on the predicate
+        ``keys[i]``, a (rule name, slot) pair, for every ``i``: the
+        per-pair decision pass's writes, one per bitmap."""
+        bitmaps = self._predicate_false
+        for key, start, end in zip(keys, bounds, bounds[1:]):
+            bitmap = bitmaps.get(key)
+            if bitmap is None:
+                bitmap = self._slot_bitmap(key)
+            bitmap[rows[start:end]] = True
+
     def clear_rule_match_rows(self, rows, rule_name: str) -> None:
         bitmap = self._rule_matched.get(rule_name)
         if bitmap is not None:

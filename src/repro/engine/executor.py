@@ -51,7 +51,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.matchers import Matcher, PairEvaluator, PairRows, TraceRecorder
+from ..core.matchers import (
+    Matcher,
+    PairEvaluator,
+    PairRows,
+    TraceRecorder,
+    record_predicate_false_rows,
+    record_rule_match_rows,
+)
 from ..core.memo import ArrayMemo, FeatureMemo, HashMemo
 from ..core.rules import MatchingFunction, Predicate, Rule
 from ..core.stats import MatchStats
@@ -219,32 +226,6 @@ class ColumnarExecutor:
             )
         return pairs
 
-    # ------------------------------------------------------- trace bridges
-
-    def _record_rule_match_rows(self, rows: np.ndarray, rule_name: str) -> None:
-        recorder = self.recorder
-        if recorder is None or rows.size == 0:
-            return
-        bulk = getattr(recorder, "record_rule_match_rows", None)
-        if bulk is not None:
-            bulk(rows, rule_name)
-            return
-        for row in rows:
-            recorder.record_rule_match(int(row), rule_name)
-
-    def _record_predicate_false_rows(
-        self, rows: np.ndarray, rule_name: str, slot: str
-    ) -> None:
-        recorder = self.recorder
-        if recorder is None or rows.size == 0:
-            return
-        bulk = getattr(recorder, "record_predicate_false_rows", None)
-        if bulk is not None:
-            bulk(rows, rule_name, slot)
-            return
-        for row in rows:
-            recorder.record_predicate_false(int(row), rule_name, slot)
-
     # ------------------------------------------------------ feature access
 
     def _compute_rows(self, predicate: Predicate, rows: np.ndarray) -> np.ndarray:
@@ -354,8 +335,8 @@ class ColumnarExecutor:
                             predicate.pid, n_decided, int(bound_true.size)
                         )
                         profiler.record_bound_skip_bulk(predicate.pid, n_decided)
-                    self._record_predicate_false_rows(
-                        bound_false, rule_name, predicate.slot
+                    record_predicate_false_rows(
+                        self.recorder, bound_false, rule_name, predicate.slot
                     )
                     # Decided rows skip the fetch entirely (no compute, no
                     # memo write) — exactly the scalar try_bound path.
@@ -373,7 +354,9 @@ class ColumnarExecutor:
             profiler.record_predicate_bulk(
                 predicate.pid, int(rows.size), int(mask.sum())
             )
-        self._record_predicate_false_rows(rows[~mask], rule_name, predicate.slot)
+        record_predicate_false_rows(
+            self.recorder, rows[~mask], rule_name, predicate.slot
+        )
         survivors = rows[mask]
         if bound_true.size:
             survivors = np.sort(np.concatenate([survivors, bound_true]))
@@ -462,7 +445,7 @@ class ColumnarExecutor:
                 break
             matched = self._rule_rows(rule_step, surviving)
             if matched.size:
-                self._record_rule_match_rows(matched, rule_step.rule.name)
+                record_rule_match_rows(self.recorder, matched, rule_step.rule.name)
                 matched_parts.append(matched)
                 surviving = np.setdiff1d(surviving, matched, assume_unique=True)
         if not matched_parts:

@@ -701,10 +701,26 @@ class FeatureKernels:
 
     # --------------------------------------------------------------- bounds
 
+    def bound_value(self, feature, pair) -> Optional[float]:
+        """An upper bound on ``feature``'s score for ``pair`` from cheap
+        statistics, or None.  Pure query — no counters."""
+        plan = self._plan(feature)
+        if plan is None or not plan.has_bound:
+            return None
+        return plan.bound_value(self._caches, pair)
+
+    @staticmethod
+    def decide(predicate, bound: float) -> Optional[bool]:
+        """The outcome of ``predicate`` a score upper bound proves, else
+        None (see :func:`_decide` for soundness)."""
+        return _decide(bound, predicate.op, predicate.threshold)
+
     def bound_decision(self, predicate, pair) -> Optional[bool]:
         """The predicate's outcome if cheap statistics decide it, else None.
 
-        Pure query — no counters.  See :func:`_decide` for soundness.
+        Pure query — no counters: :meth:`decide` on :meth:`bound_value`,
+        in one call (the walk's bound check, and the one the estimator
+        times).
         """
         plan = self._plan(predicate.feature)
         if plan is None or not plan.has_bound:

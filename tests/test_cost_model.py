@@ -27,7 +27,7 @@ from repro.core import (
     rule_cost_no_memo,
     update_alpha,
 )
-from repro.core.cost_model import Estimates
+from repro.core.cost_model import CALIBRATED_BOUND_COST, Estimates
 from repro.errors import EstimationError
 from repro.similarity import ExactMatch, JaroWinkler
 
@@ -342,3 +342,95 @@ class TestCostEstimator:
         empty = CandidateSet(*people_tables)
         with pytest.raises(EstimationError):
             CostEstimator().estimate(b1_function, empty)
+
+
+class TestSelectivityCache:
+    def test_selectivity_takes_each_mean_once(self, monkeypatch, two_features, estimates):
+        """sel(p) is ``float(mask.mean())``, and the mean is taken once
+        per pid however often it is asked for."""
+        cheap, pricey = two_features
+        predicates = [
+            Predicate(cheap, ">=", 1),
+            Predicate(pricey, ">=", 0.5),
+            Predicate(pricey, "<", 0.5),
+            Predicate(pricey, ">", 0.95),
+        ]
+        means = []
+
+        class CountedMask(np.ndarray):
+            def mean(self, *args, **kwargs):
+                means.append(1)
+                return np.asarray(self).mean(*args, **kwargs)
+
+        mask = Estimates._mask
+        monkeypatch.setattr(
+            Estimates, "_mask", lambda self, p: mask(self, p).view(CountedMask)
+        )
+        for _ in range(3):
+            for predicate in predicates:
+                assert estimates.selectivity(predicate) == float(
+                    np.asarray(mask(estimates, predicate)).mean()
+                )
+        assert len(means) == len(predicates)
+
+
+def looped_estimate(estimator, function, candidates, kernels):
+    """The estimator's loops as written before values were computed once
+    per mode and bounds once per (feature, sample pair): a warm-up pass
+    and a timed pass per kernel feature, and one ``bound_decision`` per
+    predicate and sample pair.  Returns (sample values, bound-skip
+    rates)."""
+    pairs = [candidates[index] for index in estimator.sample_indices(candidates)]
+    sample_values = {}
+    for feature in function.features():
+        if kernels.supports(feature):
+            for pair in pairs:
+                kernels.compute(feature, pair)
+            values = [kernels.compute(feature, pair) for pair in pairs]
+        else:
+            values = [feature.compute(pair.record_a, pair.record_b) for pair in pairs]
+        sample_values[feature.name] = np.array(values, dtype=np.float64)
+    rates = {}
+    for rule in function.rules:
+        for predicate in rule.predicates:
+            if predicate.pid in rates or not kernels.supports(predicate.feature):
+                continue
+            decided = sum(
+                1 for pair in pairs if kernels.bound_decision(predicate, pair) is not None
+            )
+            if decided:
+                rates[predicate.pid] = decided / len(pairs)
+    return sample_values, rates
+
+
+class TestEstimationWithoutRepeatedWork:
+    @pytest.mark.parametrize("mode", ["measured", "calibrated"])
+    def test_estimates_equal_the_looped_oracle(self, small_workload, mode):
+        """Values computed once and bounds computed once per feature leave
+        the estimates field for field what the loops gave: the sample
+        values, the bound-skip rates, and in calibrated mode every cost."""
+        from repro.kernels import FeatureKernels
+
+        function = small_workload.function
+        candidates = small_workload.candidates
+        estimator = CostEstimator(mode=mode, sample_fraction=0.05, seed=3)
+        estimates = estimator.estimate(
+            function, candidates, kernels=FeatureKernels(use_bounds=True)
+        )
+        values, rates = looped_estimate(
+            estimator, function, candidates, FeatureKernels(use_bounds=True)
+        )
+        assert rates  # the workload has bound-decided predicates
+        assert estimates.bound_skip_rates == rates
+        assert list(estimates.sample_values) == list(values)
+        for name, column in values.items():
+            assert np.array_equal(estimates.sample_values[name], column), name
+        assert estimates.sample_size == len(next(iter(values.values())))
+        assert list(estimates.feature_costs) == list(values)
+        if mode == "calibrated":
+            assert estimates.feature_costs == {
+                feature.name: CALIBRATED_TIER_COSTS[feature.cost_tier]
+                for feature in function.features()
+            }
+            assert estimates.lookup_cost == CALIBRATED_LOOKUP_COST
+            assert estimates.bound_check_cost == CALIBRATED_BOUND_COST

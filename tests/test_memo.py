@@ -107,6 +107,40 @@ class TestArrayMemo:
             ArrayMemo(-1)
 
 
+class TestArrayMemoColumnMap:
+    """The memo-side half of the per-pair decision pass: feature ids to
+    this memo's columns, and gathers over them."""
+
+    def test_map_follows_new_columns_and_restores(self):
+        from repro.core.memo import feature_id
+
+        memo = ArrayMemo(4, ["f1", "f2"])
+        snapshot = memo.snapshot()
+        column_map = memo.column_map()
+        assert column_map[feature_id("f2")] == 1
+        memo.put(0, "f3", 0.5)
+        assert memo.column_map()[feature_id("f3")] == 2
+        memo.restore(snapshot)
+        memo.put(0, "f4", 0.25)  # f4 takes the column f3 had
+        column_map = memo.column_map()
+        assert column_map[feature_id("f3")] == -1
+        assert column_map[feature_id("f4")] == 2
+
+    def test_gather_reads_rows_by_columns(self):
+        memo = ArrayMemo(4, ["f1", "f2"])
+        memo.put(1, "f1", 0.25)
+        memo.put(3, "f2", 0.75)
+        columns = np.array([[1, 0], [-1, 1]])
+        valid, values = memo.gather(np.array([3, 1]), columns)
+        assert valid.shape == values.shape == (2, 2, 2)
+        assert valid[:, 0].tolist() == [[True, False], [False, True]]
+        assert not valid[:, 1, 0].any()  # column -1: no column
+        assert values[0, 0, 0] == 0.75 and values[1, 0, 1] == 0.25
+        assert memo.has_entries(np.array([0, 1, 2, 3])).tolist() == [
+            False, True, False, True
+        ]
+
+
 class TestArrayMemoDtype:
     def test_default_is_float64(self):
         memo = ArrayMemo(4, ["f1"])
