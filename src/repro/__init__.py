@@ -21,7 +21,6 @@ Subpackages: :mod:`repro.core` (rule language, matchers, cost model,
 ordering, incremental matching), :mod:`repro.similarity` (string measures),
 :mod:`repro.data` (tables + six synthetic datasets), :mod:`repro.blocking`,
 :mod:`repro.learning` (forest → rules), :mod:`repro.evaluation`,
-:mod:`repro.parallel` (sharded matching over a process pool),
 :mod:`repro.streaming` (incremental matching under record-level deltas),
 :mod:`repro.engine` (columnar plan/executor evaluation engine).
 """
@@ -76,7 +75,6 @@ from .engine import (
 from .errors import ReproError
 from .evaluation import confusion, precision_recall_f1
 from .learning import FeatureSpace, RandomForest, Workload, build_workload, extract_rules
-from .parallel import ParallelMatcher
 from .refine import RefineConfig, RefinementReport, RefinementSearch
 from .streaming import BatchResult, Delta, DeltaBatch, StreamingSession
 
@@ -92,7 +90,7 @@ __all__ = [
     "parse_function", "parse_rule", "format_function",
     # matchers & state
     "RudimentaryMatcher", "EarlyExitMatcher", "PrecomputeMatcher",
-    "DynamicMemoMatcher", "ParallelMatcher", "MatchResult", "MatchStats",
+    "DynamicMemoMatcher", "MatchResult", "MatchStats",
     "MatchState", "ArrayMemo", "HashMemo",
     # cost & ordering
     "CostEstimator", "random_ordering", "independent_ordering",

@@ -78,7 +78,7 @@ from .validation import Finding, lint_function
 from .persistence import candidate_fingerprint, load_state, save_state
 from .session import DebugSession, PairExplanation, PredicateTrace, RuleTrace
 from .state import MatchState, StateCheckpoint
-from .stats import MatchStats, WorkerTiming
+from .stats import MatchStats
 
 __all__ = [
     # rule language
@@ -88,7 +88,7 @@ __all__ = [
     # memos
     "FeatureMemo", "ArrayMemo", "HashMemo", "ValueCache",
     # matchers
-    "MatchStats", "WorkerTiming", "Matcher", "MatchResult", "PairEvaluator",
+    "MatchStats", "Matcher", "MatchResult", "PairEvaluator",
     "RudimentaryMatcher", "EarlyExitMatcher", "PrecomputeMatcher",
     "DynamicMemoMatcher", "TraceLog",
     "DynamicRuleReorderMatcher",

@@ -493,8 +493,8 @@ def per_pair_cost(
 
     Strategies: ``rudimentary`` (C1), ``precompute`` (C2), ``early_exit``
     (C3), ``dynamic_memo`` (C4).  Besides feeding
-    :func:`predicted_runtime`, this is what the parallel partitioner uses
-    to size chunks: pairs-per-chunk = target-chunk-seconds / per-pair-cost.
+    :func:`predicted_runtime`, this is the refinement search's cost
+    objective for a candidate edit.
     """
     formulas = {
         "rudimentary": rudimentary_cost,

@@ -62,11 +62,8 @@ class TraceLog:
     """A :class:`TraceRecorder` that simply remembers the observed facts.
 
     Useful whenever the facts must outlive the run that produced them: the
-    parallel executor's workers record into a ``TraceLog`` (picklable —
-    plain lists of tuples) and the parent replays it into the session's
-    :class:`~repro.core.state.MatchState` with each chunk's local indices
-    translated back to global ones.  Replay order equals observation order,
-    so a replayed state is indistinguishable from one recorded live.
+    engine-parity suite records each engine's facts into a ``TraceLog``
+    and compares the two.
     """
 
     __slots__ = ("rule_matches", "predicate_falses")
@@ -86,26 +83,13 @@ class TraceLog:
         self.predicate_falses.append((pair_index, rule_name, slot))
 
     # Bulk recorders (the columnar engine's batched trace writes).  Facts
-    # append in ascending row order; since the bitmaps any replay target
-    # materializes are sets, batching changes nothing observable.
+    # append in ascending row order.
 
     def record_rule_match_rows(self, rows, rule_name: str) -> None:
         self.rule_matches.extend((int(row), rule_name) for row in rows)
 
     def record_predicate_false_rows(self, rows, rule_name: str, slot: str) -> None:
         self.predicate_falses.extend((int(row), rule_name, slot) for row in rows)
-
-    def replay_into(
-        self, recorder: TraceRecorder, index_offset: int = 0
-    ) -> None:
-        """Feed every remembered fact to ``recorder``, shifting pair
-        indices by ``index_offset`` (a chunk's global start position)."""
-        for pair_index, rule_name, slot in self.predicate_falses:
-            recorder.record_predicate_false(
-                pair_index + index_offset, rule_name, slot
-            )
-        for pair_index, rule_name in self.rule_matches:
-            recorder.record_rule_match(pair_index + index_offset, rule_name)
 
     def __len__(self) -> int:
         return len(self.rule_matches) + len(self.predicate_falses)

@@ -24,17 +24,11 @@ from __future__ import annotations
 import sys
 import threading
 from abc import ABC, abstractmethod
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import MatchingError, UnknownFeatureError
-
-#: How ``update_from`` translates the source memo's pair indices into the
-#: destination's: a mapping, a callable, or ``None`` for identity.
-IndexMap = Union[Mapping[int, int], Callable[[int], int], None]
+from ..errors import UnknownFeatureError
 
 #: Process-wide small integer ids of feature names (see :func:`feature_id`).
 _FEATURE_IDS: Dict[str, int] = {}
@@ -158,68 +152,6 @@ class FeatureMemo(ABC):
         for row, value in zip(rows, values):
             self.put(int(row), feature_name, float(value))
 
-    def update_from(
-        self,
-        other: "FeatureMemo",
-        index_map: IndexMap = None,
-        check_conflicts: bool = False,
-        on_conflict: str = "overwrite",
-    ) -> int:
-        """Bulk-merge every entry of ``other`` into this memo.
-
-        ``index_map`` translates the source memo's pair indices into this
-        memo's index space (a dict, a callable, or ``None`` for identity) —
-        the parallel executor passes each chunk's local→global offset here.
-
-        ``on_conflict`` says what happens when both memos hold a value for
-        the same (pair, feature) key:
-
-        * ``"overwrite"`` (default) — the incoming value wins
-          (last-write-wins, the historical behavior);
-        * ``"keep"`` — the existing value wins, the incoming one is
-          dropped (and not counted as copied);
-        * ``"error"`` — raise :class:`~repro.errors.MatchingError` when the
-          two values *differ*.  Because memoized feature values are
-          deterministic functions of the record pair, a differing conflict
-          indicates a bug (mis-aligned index map, stale memo); equal
-          values are written through silently.
-
-        ``check_conflicts=True`` is the deprecated spelling of
-        ``on_conflict="error"`` and is kept for back-compatibility.
-
-        Returns the number of entries copied.
-        """
-        if check_conflicts:
-            on_conflict = "error"
-        if on_conflict not in ("overwrite", "keep", "error"):
-            raise MatchingError(
-                f"on_conflict must be 'overwrite', 'keep', or 'error', "
-                f"got {on_conflict!r}"
-            )
-        if index_map is None:
-            translate: Callable[[int], int] = lambda index: index
-        elif callable(index_map):
-            translate = index_map
-        else:
-            translate = index_map.__getitem__
-        copied = 0
-        for pair_index, feature_name, value in other.items():
-            target = translate(pair_index)
-            if on_conflict != "overwrite":
-                existing = self.get(target, feature_name)
-                if existing is not None:
-                    if on_conflict == "keep":
-                        continue
-                    if existing != value:
-                        raise MatchingError(
-                            f"memo merge conflict on pair {target}, feature "
-                            f"{feature_name!r}: existing {existing!r} != "
-                            f"incoming {value!r}"
-                        )
-            self.put(target, feature_name, value)
-            copied += 1
-        return copied
-
 
 class ArrayMemo(FeatureMemo):
     """Dense ``|C| × |F|`` array memo (the paper's implementation).
@@ -230,7 +162,7 @@ class ArrayMemo(FeatureMemo):
 
     ``dtype`` controls value-array precision.  The default ``float64``
     round-trips every Python float exactly (required for the bit-identity
-    guarantees of the memo merge and kernel layers); ``float32`` halves
+    guarantees of the kernel layer); ``float32`` halves
     the value-array footprint at the cost of rounding stored scores to
     single precision on read-back.
     """

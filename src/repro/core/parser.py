@@ -234,10 +234,10 @@ def format_predicate(predicate: Predicate, precise: bool = False) -> str:
     ``precise=True`` renders the threshold with ``repr`` (shortest exact
     float64 round-trip) instead of the human-friendly 6-significant-digit
     ``%g`` form.  Anything that re-parses formatted text and must reproduce
-    labels bit-for-bit — the parallel executor's worker payloads — needs
-    the precise form: learned thresholds routinely carry more than 6
-    digits, and a predicate sitting exactly between the two renderings
-    would flip.
+    labels bit-for-bit — a checkpoint's ``function.rules`` — needs the
+    precise form: learned thresholds routinely carry more than 6 digits,
+    and a predicate sitting exactly between the two renderings would
+    flip.
     """
     feature = predicate.feature
     threshold = (

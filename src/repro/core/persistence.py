@@ -84,7 +84,7 @@ from ..errors import StateError
 from .memo import ArrayMemo, FeatureMemo, HashMemo
 from .parser import FeatureResolver, format_function, parse_function
 from .state import MatchState
-from .stats import MatchStats, WorkerTiming
+from .stats import MatchStats
 
 logger = logging.getLogger(__name__)
 
@@ -111,9 +111,8 @@ def stats_to_dict(stats: MatchStats) -> dict:
     """Full-fidelity JSON-able form of a :class:`MatchStats`.
 
     Every counter round-trips through :func:`stats_from_dict`, including
-    the fields a naive ``vars()`` dump would mangle: ``phase_seconds``
-    (dict), ``worker_timings`` (list of :class:`WorkerTiming`), and
-    ``computations_by_feature`` (Counter).
+    ``computations_by_feature``, a Counter that a naive ``vars()`` dump
+    would mangle.
     """
     return {
         "feature_computations": stats.feature_computations,
@@ -129,23 +128,11 @@ def stats_to_dict(stats: MatchStats) -> dict:
         "pairs_lost": stats.pairs_lost,
         "pairs_invalidated": stats.pairs_invalidated,
         "computations_by_feature": dict(stats.computations_by_feature),
-        "phase_seconds": dict(stats.phase_seconds),
-        "worker_timings": [
-            {
-                "chunk_id": timing.chunk_id,
-                "worker_pid": timing.worker_pid,
-                "pairs": timing.pairs,
-                "elapsed_seconds": timing.elapsed_seconds,
-                "attempts": timing.attempts,
-                "fallback": timing.fallback,
-            }
-            for timing in stats.worker_timings
-        ],
     }
 
 
 def stats_from_dict(data: dict) -> MatchStats:
-    """Inverse of :func:`stats_to_dict`."""
+    """Inverse of :func:`stats_to_dict`; keys it does not know are ignored."""
     stats = MatchStats(
         feature_computations=int(data.get("feature_computations", 0)),
         memo_hits=int(data.get("memo_hits", 0)),
@@ -165,23 +152,6 @@ def stats_from_dict(data: dict) -> MatchStats:
             str(name): int(count)
             for name, count in data.get("computations_by_feature", {}).items()
         }
-    )
-    stats.phase_seconds.update(
-        {
-            str(phase): float(seconds)
-            for phase, seconds in data.get("phase_seconds", {}).items()
-        }
-    )
-    stats.worker_timings.extend(
-        WorkerTiming(
-            chunk_id=int(timing["chunk_id"]),
-            worker_pid=int(timing["worker_pid"]),
-            pairs=int(timing["pairs"]),
-            elapsed_seconds=float(timing["elapsed_seconds"]),
-            attempts=int(timing.get("attempts", 1)),
-            fallback=bool(timing.get("fallback", False)),
-        )
-        for timing in data.get("worker_timings", ())
     )
     return stats
 
@@ -581,7 +551,10 @@ def _state_files(
         **(arrays or {}),
     }
     files = {
-        "function.rules": format_function(state.function).encode("utf-8"),
+        # Exact thresholds: the %g form rounds to 6 significant digits.
+        "function.rules": format_function(state.function, precise=True).encode(
+            "utf-8"
+        ),
         "meta.json": json.dumps(meta, indent=2).encode(),
         "state.npz": _npz_bytes(npz),
     }
@@ -632,9 +605,9 @@ def save_state(
     needed); returns ``directory``.
 
     ``stats`` (the run's :class:`MatchStats`, if the caller kept it) is
-    stored alongside in full fidelity — phase timings, worker timings,
-    and bound-skip counts survive the round-trip — and comes back via
-    :func:`load_stats`.
+    stored alongside in full fidelity — every counter, bound skips and
+    per-feature computations included, survives the round-trip — and
+    comes back via :func:`load_stats`.
     """
     directory = Path(directory)
     _publish(directory, _state_files(state, stats))
@@ -744,9 +717,6 @@ def save_session(
     meta = {
         "version": SESSION_FORMAT_VERSION,
         "blocker_spec": blocker_spec,
-        "workers": streaming.workers,
-        "parallel_threshold_pairs": streaming.parallel_threshold_pairs,
-        "parallel_threshold_seconds": streaming.parallel_threshold_seconds,
         "ordering": session.ordering_strategy,
         "memo_backend": session.memo_backend,
         "check_cache_first": session.check_cache_first,
@@ -811,17 +781,7 @@ def load_session(
         use_kernels=meta["use_kernels"],
         use_bounds=meta["use_bounds"],
     )
-    streaming = StreamingSession.adopt(
-        session,
-        table_a,
-        table_b,
-        blocker,
-        workers=int(meta.get("workers", 1)),
-        parallel_threshold_pairs=int(meta.get("parallel_threshold_pairs", 2000)),
-        parallel_threshold_seconds=float(
-            meta.get("parallel_threshold_seconds", 0.05)
-        ),
-    )
+    streaming = StreamingSession.adopt(session, table_a, table_b, blocker)
     streaming.seed_restored(
         run_stats=run_stats,
         batch_stats=stats_from_dict(meta["batch_stats"]),

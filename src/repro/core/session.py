@@ -31,7 +31,6 @@ from .changes import Change
 from .cost_model import CostEstimator, Estimates
 from .incremental import IncrementalResult, apply_change
 from .matchers import DynamicMemoMatcher, MatchResult
-from .memo import ArrayMemo, HashMemo
 from .ordering import order_function
 from .parser import parse_function
 from .rules import MatchingFunction
@@ -121,9 +120,7 @@ class DebugSession:
         size bounds without computing the feature; decisions are provably
         identical, but skipped features are not memoized and
         ``stats.bound_skips`` counts the skips.  Both default on; the
-        same setting threads into parallel (``run(workers=...)``) and
-        streaming runs of this session, so serial/parallel memo equality
-        is preserved either way.
+        same setting threads into streaming runs of this session.
 
         ``engine`` selects the evaluation engine: ``"scalar"`` is the
         per-pair :class:`~repro.core.matchers.PairEvaluator` loop,
@@ -256,22 +253,13 @@ class DebugSession:
         session.state = state
         return session
 
-    def run(self, workers: int = 1) -> MatchResult:
-        """Initial full matching run: estimate → order → match → materialize.
-
-        ``workers > 1`` shards the run across a process pool (see
-        :mod:`repro.parallel`); labels, memo, and materialized state are
-        bit-identical to the serial run — only wall-clock changes.  The
-        parallel engine falls back to serial automatically when the pool
-        cannot be used.
-        """
+    def run(self) -> MatchResult:
+        """Initial full matching run: estimate → order → match → materialize."""
         from ..observability import maybe_span, record_match_stats
 
         observability = self.observability
         function = self.initial_function
-        with maybe_span(
-            observability, "run", workers=workers, pairs=len(self.candidates)
-        ):
+        with maybe_span(observability, "run", pairs=len(self.candidates)):
             if self.ordering_strategy not in ("original", "random"):
                 with maybe_span(observability, "estimate"):
                     self.estimates = self.estimator.estimate(
@@ -283,24 +271,17 @@ class DebugSession:
                 )
             with maybe_span(observability, "match"):
                 plan = self.compile_plan(function)
-                if workers > 1:
-                    result = self._run_parallel(plan, workers)
-                else:
-                    self.state, result = MatchState.from_initial_run(
-                        function,
-                        self.candidates,
-                        memo_backend=self.memo_backend,
-                        check_cache_first=self.check_cache_first,
-                        profiler=(
-                            observability.profiler if observability else None
-                        ),
-                        kernels=self.kernels,
-                        engine=self.engine,
-                        metrics=(
-                            observability.metrics if observability else None
-                        ),
-                        plan=plan,
-                    )
+                self.state, result = MatchState.from_initial_run(
+                    function,
+                    self.candidates,
+                    memo_backend=self.memo_backend,
+                    check_cache_first=self.check_cache_first,
+                    profiler=observability.profiler if observability else None,
+                    kernels=self.kernels,
+                    engine=self.engine,
+                    metrics=observability.metrics if observability else None,
+                    plan=plan,
+                )
         if observability is not None:
             record_match_stats(observability.metrics, result.stats, prefix="run")
             if self.kernels is not None:
@@ -323,45 +304,6 @@ class DebugSession:
                 "kernel.unsupported", feature=name, reason=reason
             ):
                 pass
-
-    def _run_parallel(self, plan, workers: int) -> MatchResult:
-        """Initial run via the parallel engine, materializing the same state
-        (memo + bitmaps, via trace replay) a serial run would build."""
-        # Imported here: repro.parallel imports repro.core submodules.
-        from ..parallel import ParallelMatcher
-
-        function = plan.function
-        names = [feature.name for feature in function.features()]
-        memo = (
-            ArrayMemo(len(self.candidates), names)
-            if self.memo_backend == "array"
-            else HashMemo(len(self.candidates), names)
-        )
-        state = MatchState(
-            function,
-            self.candidates,
-            memo,
-            check_cache_first=self.check_cache_first,
-            kernels=self.kernels,
-            plan=plan,
-        )
-        matcher = ParallelMatcher(
-            workers=workers,
-            memo=memo,
-            memo_backend=self.memo_backend,
-            check_cache_first=self.check_cache_first,
-            recorder=state,
-            estimates=self.estimates,
-            observability=self.observability,
-            kernels=self.kernels,
-            # Pass "auto" through unresolved: each worker process re-binds
-            # the plan against its *own* kernels and resolves there.
-            engine=self.engine,
-        )
-        result = matcher.run(function, self.candidates)
-        state.labels = result.labels.copy()
-        self.state = state
-        return result
 
     def apply(self, change: Change) -> IncrementalResult:
         """Apply one edit incrementally (Algorithms 7-10).

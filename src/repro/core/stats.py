@@ -12,31 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-
-@dataclass
-class WorkerTiming:
-    """Timing record of one parallel chunk execution (see :mod:`repro.parallel`).
-
-    ``attempts`` counts executions including retries; ``fallback`` is true
-    when the chunk ultimately ran serially in the parent process.
-    """
-
-    chunk_id: int
-    worker_pid: int
-    pairs: int
-    elapsed_seconds: float
-    attempts: int = 1
-    fallback: bool = False
-
-    def summary(self) -> str:
-        where = "parent" if self.fallback else f"pid {self.worker_pid}"
-        retried = f", {self.attempts} attempts" if self.attempts > 1 else ""
-        return (
-            f"chunk {self.chunk_id}: {self.pairs} pairs in "
-            f"{self.elapsed_seconds * 1000:.1f}ms ({where}{retried})"
-        )
+from typing import Dict
 
 
 @dataclass
@@ -70,11 +46,6 @@ class MatchStats:
     pairs_invalidated: int = 0
     #: per-feature computation counts (feature name -> count)
     computations_by_feature: Counter = field(default_factory=Counter)
-    #: wall-clock seconds by named phase (e.g. "partition", "execute");
-    #: serial matchers leave this empty, the parallel executor fills it in.
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: per-chunk timing records of a parallel run (empty for serial runs)
-    worker_timings: List[WorkerTiming] = field(default_factory=list)
 
     def record_computation(self, feature_name: str) -> None:
         self.feature_computations += 1
@@ -110,12 +81,8 @@ class MatchStats:
     def merged_with(self, other: "MatchStats") -> "MatchStats":
         """Sum of two *sequential* stats objects (session/batch history).
 
-        Everything adds: work counters, wall-clock, per-phase seconds
-        (the runs happened one after another, so their clocks accumulate),
-        and per-chunk timing records concatenate in order — a streaming
-        batch that re-matched on the pool keeps its worker accounting
-        when batches are totaled.  Use :meth:`merge` for concurrent
-        (parallel-chunk) semantics where clocks take the max instead.
+        Everything adds, wall-clock included: the runs happened one after
+        another, so their clocks accumulate.
         """
         merged = MatchStats(
             feature_computations=self.feature_computations + other.feature_computations,
@@ -133,49 +100,6 @@ class MatchStats:
         )
         merged.computations_by_feature = (
             self.computations_by_feature + other.computations_by_feature
-        )
-        for phases in (self.phase_seconds, other.phase_seconds):
-            for phase, seconds in phases.items():
-                merged.phase_seconds[phase] = (
-                    merged.phase_seconds.get(phase, 0.0) + seconds
-                )
-        merged.worker_timings = [*self.worker_timings, *other.worker_timings]
-        return merged
-
-    def merge(self, other: "MatchStats") -> "MatchStats":
-        """Combine stats of two *concurrent* runs (parallel-chunk semantics).
-
-        Work counters sum — every computation happened somewhere — but
-        wall-clock takes the **max** per phase (and overall): concurrent
-        chunks overlap in time, so summing their clocks would overstate the
-        run by up to the worker count.  Use :meth:`merged_with` for the
-        sequential (session-history) semantics where clocks add up.
-        """
-        merged = MatchStats(
-            feature_computations=self.feature_computations + other.feature_computations,
-            memo_hits=self.memo_hits + other.memo_hits,
-            predicate_evaluations=self.predicate_evaluations + other.predicate_evaluations,
-            bound_skips=self.bound_skips + other.bound_skips,
-            rule_evaluations=self.rule_evaluations + other.rule_evaluations,
-            pairs_evaluated=self.pairs_evaluated + other.pairs_evaluated,
-            pairs_matched=self.pairs_matched + other.pairs_matched,
-            elapsed_seconds=max(self.elapsed_seconds, other.elapsed_seconds),
-            deltas_applied=self.deltas_applied + other.deltas_applied,
-            pairs_gained=self.pairs_gained + other.pairs_gained,
-            pairs_lost=self.pairs_lost + other.pairs_lost,
-            pairs_invalidated=self.pairs_invalidated + other.pairs_invalidated,
-        )
-        merged.computations_by_feature = (
-            self.computations_by_feature + other.computations_by_feature
-        )
-        for phases in (self.phase_seconds, other.phase_seconds):
-            for phase, seconds in phases.items():
-                merged.phase_seconds[phase] = max(
-                    merged.phase_seconds.get(phase, 0.0), seconds
-                )
-        merged.worker_timings = sorted(
-            [*self.worker_timings, *other.worker_timings],
-            key=lambda timing: timing.chunk_id,
         )
         return merged
 

@@ -5,8 +5,7 @@ Two stages (see ``docs/performance.md`` and ``DESIGN.md``):
 * :mod:`repro.engine.plan` — the **planner** lowers a parsed
   :class:`~repro.core.rules.MatchingFunction` into a :class:`MatchPlan` of
   ordered predicate steps annotated with cost-model estimates, kernel
-  support, and bound eligibility (plus a picklable :class:`PlanSpec` for
-  parallel workers);
+  support, and bound eligibility;
 * :mod:`repro.engine.executor` — the **columnar executor** evaluates each
   step as one vectorized mask over the surviving candidate indices, with
   per-step scalar fallback for similarities without kernels, bit-identical
@@ -24,7 +23,6 @@ from .executor import ColumnarExecutor, ColumnarMatcher
 from .plan import (
     EngineDecision,
     MatchPlan,
-    PlanSpec,
     PredicateStep,
     RuleStep,
     choose_engine,
@@ -36,7 +34,6 @@ __all__ = [
     "ColumnarMatcher",
     "EngineDecision",
     "MatchPlan",
-    "PlanSpec",
     "PredicateStep",
     "RuleStep",
     "choose_engine",

@@ -11,11 +11,10 @@ The plan is purely *descriptive*: evaluation order is the function's
 rule/predicate order (plus the same per-pair check-cache-first regrouping
 the scalar evaluator applies at runtime), so labels, counters, and trace
 output stay bit-identical to the scalar path.  Annotations exist for
-introspection (the workbench ``plan`` command), for shipping cost
-context to parallel workers, and for the per-plan engine choice
-(:func:`choose_engine`, stored as :attr:`MatchPlan.decision`) that an
-``engine="auto"`` session resolves through — the executor itself never
-branches on them.
+introspection (the workbench ``plan`` command) and for the per-plan
+engine choice (:func:`choose_engine`, stored as
+:attr:`MatchPlan.decision`) that an ``engine="auto"`` session resolves
+through — the executor itself never branches on them.
 
 Plan lifetime: a session compiles one plan per run or reorder and the
 :class:`~repro.core.state.MatchState` owns it next to the function.  A
@@ -32,17 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..core.cost_model import CALIBRATED_BOUND_COST, CALIBRATED_TIER_COSTS
 from ..core.rules import Feature, MatchingFunction, Predicate, Rule
 from ..errors import EstimationError
-
-#: Annotation key: (rule name, predicate pid).
-AnnotationKey = Tuple[str, str]
-
-#: Annotation value: (est_cost, est_selectivity, bound_skip_rate).
-Annotation = Tuple[Optional[float], Optional[float], Optional[float]]
 
 #: Per-step interpreter overhead of the scalar per-pair loop (predicate
 #: dispatch, memo probe, profiler hooks) — measured on the learned
@@ -307,70 +300,6 @@ class MatchPlan:
             for position, step in enumerate(rule_step.steps, start=1):
                 lines.append(f"    {position}. {step.describe()}")
         return "\n".join(lines)
-
-    def spec(self) -> "PlanSpec":
-        """A picklable, function-free shadow of this plan (for workers)."""
-        annotations: Dict[AnnotationKey, Annotation] = {}
-        for rule_step in self.rule_steps:
-            for step in rule_step.steps:
-                annotations[(rule_step.rule.name, step.predicate.pid)] = (
-                    step.est_cost,
-                    step.est_selectivity,
-                    step.bound_skip_rate,
-                )
-        return PlanSpec(
-            check_cache_first=self.check_cache_first,
-            use_bounds=self.use_bounds,
-            annotations=annotations,
-        )
-
-
-@dataclass
-class PlanSpec:
-    """Picklable plan shadow shipped in :class:`repro.parallel.ChunkTask`.
-
-    Carries only the compile flags and the parent's cost annotations;
-    kernel support is *recomputed* on bind because the worker has its own
-    :class:`~repro.kernels.FeatureKernels` (or none at all) and support
-    must reflect the kernels that will actually execute the plan.
-    """
-
-    check_cache_first: bool = False
-    use_bounds: bool = False
-    annotations: Dict[AnnotationKey, Annotation] = field(default_factory=dict)
-
-    def bind(self, function: MatchingFunction, kernels=None) -> MatchPlan:
-        """Rebuild a full :class:`MatchPlan` against ``function``."""
-        plan = plan_function(
-            function,
-            kernels=kernels,
-            check_cache_first=self.check_cache_first,
-            use_bounds=self.use_bounds,
-        )
-        rule_steps = []
-        for rule_step in plan.rule_steps:
-            steps = []
-            for step in rule_step.steps:
-                annotation = self.annotations.get(
-                    (rule_step.rule.name, step.predicate.pid)
-                )
-                if annotation is None:
-                    steps.append(step)
-                    continue
-                cost, selectivity, skip_rate = annotation
-                steps.append(
-                    replace(
-                        step,
-                        est_cost=cost,
-                        est_selectivity=selectivity,
-                        bound_skip_rate=skip_rate,
-                    )
-                )
-            rule_steps.append(replace(rule_step, steps=tuple(steps)))
-        # The bound plan decides its engine against the *worker's* kernels
-        # and the parent's cost annotations — support was recomputed
-        # above, so the same spec can resolve differently per process.
-        return replace(plan, rule_steps=tuple(rule_steps))
 
 
 def _plan_rule(rule: Rule, kernels, estimates, use_bounds: bool) -> RuleStep:

@@ -60,12 +60,6 @@ class StreamingError(ReproError):
     (unknown record id, duplicate insert, malformed delta)."""
 
 
-class ParallelExecutionError(ReproError):
-    """Raised when the parallel matching engine cannot complete a run even
-    after retries and serial fallback (e.g. an unpicklable payload combined
-    with a broken pool)."""
-
-
 class RefinementError(ReproError):
     """Raised when the rule-refinement search is misconfigured or asked to
     run without the inputs it needs (no gold labels, no started state)."""

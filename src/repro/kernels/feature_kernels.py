@@ -54,7 +54,7 @@ the memo's lookup in place of ``secondary.compare``, so each token
 pair is compared once per kernels object, whichever feature, pair or
 run asks (once per unordered pair under a Jaro-family secondary, whose
 scores are bit-symmetric).  The memo lives as long as this object (a
-session, a streaming session, a parallel worker) and is never persisted.
+session or a streaming session) and is never persisted.
 
 Everything else (Needleman-Wunsch, Smith-Waterman, Editex, Nysiis,
 Hamming, bag measures, user measures overriding ``compare``) falls
@@ -517,8 +517,8 @@ class _TokenListPlan:
 class FeatureKernels:
     """Record-cached feature computation with optional bound skipping.
 
-    One instance per matching scope (a :class:`~repro.core.session.DebugSession`,
-    a parallel worker shard, a streaming session).  ``use_bounds`` gates
+    One instance per matching scope (a :class:`~repro.core.session.DebugSession`
+    or a streaming session).  ``use_bounds`` gates
     :meth:`try_bound` only; caching and batched computation are always on
     because they are pure speedups with bit-identical outputs, whereas a
     bound decision changes *which* features get computed and memoized.

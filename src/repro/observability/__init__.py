@@ -1,15 +1,14 @@
 """Unified observability layer: tracing, metrics, profiling, drift.
 
-One :class:`Observability` object rides along a debugging session (serial,
-parallel, or streaming) and collects three coordinated views of a run:
+One :class:`Observability` object rides along a debugging session (plain
+or streaming) and collects three coordinated views of a run:
 
 * **spans** (:mod:`repro.observability.spans`) — where wall-clock time
-  went, as a nested tree; parallel workers record locally and the parent
-  splices their logs under the dispatching span;
+  went, as a nested tree;
 * **metrics** (:mod:`repro.observability.metrics`) — the counters that
-  previously lived separately in ``MatchStats``, ``WorkerTiming``, and the
-  streaming batch results, unified in one registry with
-  ``snapshot()/merge()/diff()`` and JSON-lines export;
+  previously lived separately in ``MatchStats`` and the streaming batch
+  results, unified in one registry with ``snapshot()/diff()`` and
+  JSON-lines export;
 * **profile** (:mod:`repro.observability.profiler`) — sampled observed
   per-feature/per-rule costs and exact predicate selectivities, feeding
   :func:`~repro.observability.drift.detect_drift`.
@@ -102,9 +101,8 @@ class Observability:
 
     ``enabled`` controls tracing; ``profile`` attaches a
     :class:`Profiler` with the given ``sample_every``.  The object is
-    shared — a :class:`~repro.core.session.DebugSession`, the parallel
-    executor it dispatches to, and a wrapping
-    :class:`~repro.streaming.session.StreamingSession` all write into the
+    shared — a :class:`~repro.core.session.DebugSession` and a wrapping
+    :class:`~repro.streaming.session.StreamingSession` both write into the
     same span log and registry, which is what makes one run's telemetry
     coherent end to end.
     """

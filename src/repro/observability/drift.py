@@ -177,8 +177,8 @@ def detect_drift(
 ) -> DriftReport:
     """Compare observed costs/selectivities to ``estimates``.
 
-    ``profile`` is a :class:`Profiler` or one of its snapshots (e.g.
-    merged back from parallel workers).  Only features/predicates the
+    ``profile`` is a :class:`Profiler` or one of its snapshots (e.g. one
+    served by the service).  Only features/predicates the
     profiler actually observed are compared — unobserved ones cannot have
     drifted observably.  The ordering check re-runs ``ordering_strategy``
     with observed mean feature costs patched into the estimates and

@@ -1,14 +1,12 @@
 """Metrics registry: named counters, gauges, and histograms.
 
-One registry unifies the counters that previously lived in three places —
-:class:`~repro.core.stats.MatchStats` (run counters),
-:class:`~repro.core.stats.WorkerTiming` (per-chunk records), and the
-streaming per-batch counters — behind a single
-``snapshot()`` / ``merge()`` / ``diff()`` API with JSON-lines export.
+One registry holds the run counters of
+:class:`~repro.core.stats.MatchStats` and the streaming per-batch
+counters behind a single ``snapshot()`` / ``diff()`` API with JSON-lines
+export.
 
-Snapshots are plain picklable dicts (``name -> {"type": ..., ...}``), so
-they travel across process boundaries, diff cleanly, and serialize
-without custom hooks.  :func:`record_match_stats` and
+Snapshots are plain dicts (``name -> {"type": ..., ...}``), so they diff
+cleanly and serialize without custom hooks.  :func:`record_match_stats` and
 :func:`record_batch_result` are the bridges from the existing
 instrumentation objects into the registry; matchers themselves never
 write here — counters on the hot path stay exactly as they were.
@@ -116,9 +114,7 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with running count/total/min/max.
 
-    Buckets are cumulative-upper-bound style (the last bound is +inf), so
-    merging is element-wise addition — the property the parallel stitcher
-    relies on when folding worker-local histograms into the session's.
+    Buckets are cumulative-upper-bound style (the last bound is +inf).
     """
 
     __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
@@ -223,41 +219,11 @@ class MetricsRegistry:
             raise TypeError(f"{name!r} is a histogram; read its snapshot")
         return metric.value
 
-    # --------------------------------------------- snapshot / merge / diff
+    # ---------------------------------------------------- snapshot / diff
 
     def snapshot(self) -> Snapshot:
         """Picklable plain-dict view of every metric (deep copy)."""
         return {name: metric.as_dict() for name, metric in sorted(self._metrics.items())}
-
-    def merge(self, other: Union["MetricsRegistry", Snapshot]) -> "MetricsRegistry":
-        """Fold another registry (or a snapshot of one) into this one.
-
-        Counters and histograms add; gauges take the incoming value
-        (last-write-wins, matching their point-in-time semantics).
-        """
-        incoming = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, data in incoming.items():
-            kind = data["type"]
-            if kind == "counter":
-                self.counter(name).inc(data["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(data["value"])
-            elif kind == "histogram":
-                histogram = self.histogram(name, bounds=tuple(data["bounds"]))
-                if tuple(data["bounds"]) != histogram.bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds mismatch on merge"
-                    )
-                for position, count in enumerate(data["buckets"]):
-                    histogram.bucket_counts[position] += count
-                histogram.count += data["count"]
-                histogram.total += data["total"]
-                if data["count"]:
-                    histogram.min = min(histogram.min, data["min"])
-                    histogram.max = max(histogram.max, data["max"])
-            else:
-                raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-        return self
 
     def diff(self, earlier: Snapshot) -> Snapshot:
         """What changed since ``earlier`` (an older snapshot of this registry).
@@ -336,9 +302,8 @@ def record_match_stats(
 ) -> None:
     """Fold one :class:`~repro.core.stats.MatchStats` into the registry.
 
-    Scalar work counters become counters, per-phase wall-clock becomes
-    gauges, per-chunk timings feed a histogram — one vocabulary for
-    serial, parallel, and streaming runs.
+    Scalar work counters become counters and wall-clock feeds a
+    histogram — one vocabulary for full runs and streaming batches.
     """
     for field_name in (
         "feature_computations",
@@ -360,15 +325,6 @@ def record_match_stats(
     registry.histogram(f"{prefix}.elapsed_seconds").observe(stats.elapsed_seconds)
     for feature_name, count in stats.computations_by_feature.items():
         registry.counter(f"{prefix}.computations.{feature_name}").inc(count)
-    for phase, seconds in stats.phase_seconds.items():
-        registry.gauge(f"{prefix}.phase.{phase}").set(seconds)
-    for timing in stats.worker_timings:
-        registry.histogram(f"{prefix}.chunk_seconds").observe(timing.elapsed_seconds)
-        registry.counter(f"{prefix}.chunks").inc()
-        if timing.attempts > 1:
-            registry.counter(f"{prefix}.chunk_retries").inc(timing.attempts - 1)
-        if timing.fallback:
-            registry.counter(f"{prefix}.chunk_fallbacks").inc()
 
 
 def record_batch_result(
@@ -379,5 +335,3 @@ def record_batch_result(
     registry.counter(f"{prefix}.batches").inc()
     registry.counter(f"{prefix}.affected_pairs").inc(result.affected)
     registry.gauge(f"{prefix}.match_count").set(result.match_count)
-    if result.executed_parallel:
-        registry.counter(f"{prefix}.parallel_batches").inc()

@@ -18,10 +18,9 @@ When no profiler is attached the hot path pays a single ``is None`` check
 :class:`~repro.core.stats.MatchStats` counters are never touched either
 way — profiling observes, it does not participate.
 
-Snapshots are plain picklable dicts, so parallel workers profile locally
-and the parent merges (:meth:`Profiler.merge`), mirroring the memo/trace
-merge-back.  :func:`repro.observability.drift.detect_drift` consumes the
-merged snapshot.
+Snapshots are plain dicts (the service serves them, and
+:meth:`Profiler.from_snapshot` rebuilds a profiler from one);
+:func:`repro.observability.drift.detect_drift` consumes either form.
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ class Profiler:
     # ------------------------------------------------- snapshot and merge
 
     def snapshot(self) -> dict:
-        """Picklable plain-dict state (travels in ChunkOutcome.profile)."""
+        """Plain-dict state (see :meth:`from_snapshot`)."""
         return {
             "sample_every": self.sample_every,
             "feature_counts": dict(self.feature_counts),

@@ -5,15 +5,8 @@ into a :class:`SpanLog`.  Spans nest through an explicit stack kept by the
 tracer, so ``span("match") > span("rule:r3") > span("feature:jaccard")``
 falls out of ordinary ``with`` nesting.
 
-The log is deliberately dumb and **picklable**: plain records with integer
-ids, no live references.  That mirrors how
-:class:`~repro.core.matchers.TraceLog` travels back from parallel workers
-— each worker traces into its own local ``SpanLog`` and the parent
-*splices* the child log under the span that dispatched the chunk
-(:meth:`SpanLog.splice`), re-identifying and re-parenting every child
-span.  A spliced tree is indistinguishable from one recorded live in a
-single process, except that child timestamps are rebased (worker clocks
-share no epoch with the parent).
+The log is deliberately dumb: plain records with integer ids, no live
+references, so it exports as JSON lines without custom hooks.
 
 Disabled tracing costs one attribute check per ``span()`` call and
 allocates nothing.
@@ -112,8 +105,8 @@ class SpanLog:
         """Spans stamped with ``attrs["request_id"] == request_id``.
 
         The returned list is a consistent sub-forest: every span created
-        (or spliced) while that request's trace context was active, in
-        start order — renderable as its own tree.
+        while that request's trace context was active, in start order —
+        renderable as its own tree.
         """
         return [
             record
@@ -129,46 +122,6 @@ class SpanLog:
             if isinstance(rid, str) and rid not in seen:
                 seen[rid] = None
         return list(seen)
-
-    # ------------------------------------------------------------- splice
-
-    def splice(
-        self,
-        child: "SpanLog",
-        parent_id: Optional[int] = None,
-        time_offset: float = 0.0,
-    ) -> int:
-        """Graft every span of ``child`` into this log.
-
-        Child span ids are rebased past this log's id space, child *root*
-        spans are re-parented under ``parent_id``, and child timestamps are
-        shifted by ``time_offset`` (the parent-epoch second at which the
-        child's clock started — worker clocks share no epoch with the
-        parent, so child starts are only meaningful relative to each
-        other).  Returns the number of spans spliced.  The analogue of
-        :meth:`~repro.core.matchers.TraceLog.replay_into` for spans.
-        """
-        if not child.records:
-            return 0
-        id_offset = self._next_id
-        base = min(record.start for record in child.records)
-        for record in child.records:
-            self.records.append(
-                SpanRecord(
-                    span_id=record.span_id + id_offset,
-                    parent_id=(
-                        record.parent_id + id_offset
-                        if record.parent_id is not None
-                        else parent_id
-                    ),
-                    name=record.name,
-                    start=record.start - base + time_offset,
-                    duration=record.duration,
-                    attrs=dict(record.attrs),
-                )
-            )
-        self._next_id += child._next_id
-        return len(child.records)
 
     # ------------------------------------------------------------- export
 
@@ -227,8 +180,8 @@ class Tracer:
         self._epoch = time.perf_counter()
         # Request correlation is thread-local: the service runs each
         # request's engine work on one executor thread, so spans opened
-        # on that thread (including splices of worker logs) belong to
-        # the request whose context is active there.
+        # on that thread belong to the request whose context is active
+        # there.
         self._context = threading.local()
 
     def _now(self) -> float:
@@ -243,7 +196,7 @@ class Tracer:
 
     @contextmanager
     def request_context(self, request_id: Optional[str]):
-        """Stamp every span opened (or spliced) inside with ``request_id``.
+        """Stamp every span opened inside with ``request_id``.
 
         Contexts nest: the innermost non-``None`` id wins, and the prior
         id is restored on exit.  A ``None`` id makes this a no-op wrapper
@@ -276,30 +229,6 @@ class Tracer:
         finally:
             self._stack.pop()
             record.duration = self._now() - record.start
-
-    def current_span_id(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
-
-    def splice(
-        self, child: SpanLog, parent_id: Optional[int] = None
-    ) -> int:
-        """Splice a worker-recorded log under ``parent_id`` (default: the
-        currently open span), rebasing child times to *now*."""
-        if not self.enabled:
-            return 0
-        if parent_id is None:
-            parent_id = self.current_span_id()
-        before = len(self.log.records)
-        spliced = self.log.splice(
-            child, parent_id=parent_id, time_offset=self._now()
-        )
-        request_id = self.active_request_id
-        if request_id is not None and spliced:
-            # Worker logs were recorded out-of-process with no context;
-            # stamp them with the request that dispatched the chunk.
-            for record in self.log.records[before:]:
-                record.attrs.setdefault("request_id", request_id)
-        return spliced
 
     def __repr__(self) -> str:
         state = "enabled" if self.enabled else "disabled"

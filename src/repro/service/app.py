@@ -47,9 +47,9 @@ Request-scoped tracing: clients may send an ``X-Repro-Request-Id``
 header (``[A-Za-z0-9_-]{1,64}``); the server adopts it as the envelope
 ``request_id`` and, for write actions on sessions with tracing enabled,
 activates a trace context on the executor thread so every span the
-operation opens — including spliced parallel-worker ``chunk:N`` spans —
-is stamped with that id.  ``GET /sessions/{name}/trace?request_id=...``
-then returns exactly that request's span tree.
+operation opens is stamped with that id.
+``GET /sessions/{name}/trace?request_id=...`` then returns exactly that
+request's span tree.
 
 Rolling telemetry: unless constructed with ``telemetry=False``, every
 response is recorded into a :class:`RequestTelemetry` (sliding-window

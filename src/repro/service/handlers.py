@@ -46,6 +46,18 @@ from .protocol import (
 from .registry import SessionRegistry
 
 
+def _coerce(kind, value, field: str):
+    """``kind(value)`` for a numeric request field (``int`` or ``float``);
+    a value it rejects is the caller's fault, so it is a ``bad_request``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as error:
+        noun = "an integer" if kind is int else "a number"
+        raise ServiceError(
+            "bad_request", f"{field!r} must be {noun}, got {value!r}"
+        ) from error
+
+
 class ServiceHandlers:
     """The service's operation surface over one :class:`SessionRegistry`."""
 
@@ -173,11 +185,10 @@ class ServiceHandlers:
           "blocker": <spec>, "gold"?: [[a, b], ...]}`` — explicit tables
           and a hand-written matching function.
 
-        Common options: ``workers``, ``observability`` (bool),
-        ``profile`` (bool), ``use_kernels``, ``use_bounds``,
-        ``ordering``, ``memo_backend``, and ``drift_every`` (int N:
-        re-run drift detection every N ingests and derive refinement
-        warm-start hints; implies ``profile``).
+        Common options: ``observability`` (bool), ``profile`` (bool),
+        ``use_kernels``, ``use_bounds``, ``ordering``, ``memo_backend``,
+        and ``drift_every`` (int N: re-run drift detection every N ingests
+        and derive refinement warm-start hints; implies ``profile``).
         """
         if not isinstance(payload, dict):
             raise ServiceError("bad_request", "body must be a JSON object")
@@ -185,7 +196,6 @@ class ServiceHandlers:
         if not name:
             raise ServiceError("bad_request", "a session 'name' is required")
 
-        workers = int(payload.get("workers", 1))
         session_kwargs = {
             key: payload[key]
             for key in ("ordering", "memo_backend", "use_kernels", "use_bounds")
@@ -193,7 +203,7 @@ class ServiceHandlers:
         }
         drift_every = payload.get("drift_every")
         if drift_every is not None:
-            drift_every = int(drift_every)
+            drift_every = _coerce(int, drift_every, "drift_every")
             if drift_every < 1:
                 raise ServiceError(
                     "bad_request", "'drift_every' must be a positive integer"
@@ -214,19 +224,17 @@ class ServiceHandlers:
 
         if "dataset" in payload:
             streaming, blocker_spec = self._from_dataset(
-                payload["dataset"], workers, session_kwargs
+                payload["dataset"], session_kwargs
             )
         elif "table_a" in payload and "table_b" in payload:
-            streaming, blocker_spec = self._from_tables(
-                payload, workers, session_kwargs
-            )
+            streaming, blocker_spec = self._from_tables(payload, session_kwargs)
         else:
             raise ServiceError(
                 "bad_request",
                 "provide either 'dataset' or 'table_a'+'table_b'+'rules'",
             )
 
-        result = streaming.run(workers=workers)
+        result = streaming.run()
         managed = self.registry.add(name, streaming, blocker_spec=blocker_spec)
         return {
             "session": managed.describe(),
@@ -236,7 +244,7 @@ class ServiceHandlers:
             },
         }
 
-    def _from_dataset(self, spec, workers, session_kwargs):
+    def _from_dataset(self, spec, session_kwargs):
         from ..learning.workload import build_workload
 
         if not isinstance(spec, dict) or "name" not in spec:
@@ -247,8 +255,8 @@ class ServiceHandlers:
         blocker = build_blocker(blocker_spec)
         workload = build_workload(
             dataset_name=spec["name"],
-            seed=int(spec.get("seed", 7)),
-            scale=float(spec.get("scale", 1.0)),
+            seed=_coerce(int, spec.get("seed", 7), "seed"),
+            scale=_coerce(float, spec.get("scale", 1.0), "scale"),
             blocker=blocker,
             max_rules=spec.get("max_rules", 255),
         )
@@ -258,12 +266,11 @@ class ServiceHandlers:
             blocker,
             workload.function,
             gold=workload.gold,
-            workers=workers,
             **session_kwargs,
         )
         return streaming, blocker_spec
 
-    def _from_tables(self, payload, workers, session_kwargs):
+    def _from_tables(self, payload, session_kwargs):
         from ..core.parser import parse_function
 
         rules = payload.get("rules")
@@ -285,7 +292,6 @@ class ServiceHandlers:
             blocker,
             function,
             gold=gold,
-            workers=workers,
             **session_kwargs,
         )
         return streaming, blocker_spec

@@ -299,7 +299,6 @@ def batch_result_to_payload(result) -> dict:
         "gained": [list(pair) for pair in result.gained],
         "lost": [list(pair) for pair in result.lost],
         "affected": result.affected,
-        "executed_parallel": result.executed_parallel,
         "match_count": result.match_count,
     }
 

@@ -156,7 +156,6 @@ class ManagedSession:
             "candidates": len(streaming.candidates),
             "batches_ingested": streaming.batches_ingested,
             "rules": [rule.name for rule in streaming.function.rules],
-            "workers": streaming.workers,
             "blocker_spec": self.blocker_spec,
         }
 

@@ -8,19 +8,13 @@ records are inserted, updated, and deleted:
   change model and table application;
 * :mod:`~repro.streaming.session` — :class:`StreamingSession`, which
   applies a batch by re-matching only the affected candidate pairs
-  (delta-aware blocking + memo invalidation + state remap), dispatching
-  to :mod:`repro.parallel` for large affected sets.
+  (delta-aware blocking + memo invalidation + state remap).
 
 See ``docs/streaming.md`` for the design and the equivalence argument.
 """
 
 from .deltas import AppliedDelta, Delta, DeltaBatch, apply_delta, validate_batch
-from .session import (
-    DEFAULT_PARALLEL_THRESHOLD_PAIRS,
-    DEFAULT_PARALLEL_THRESHOLD_SECONDS,
-    BatchResult,
-    StreamingSession,
-)
+from .session import BatchResult, StreamingSession
 
 __all__ = [
     "Delta",
@@ -30,6 +24,4 @@ __all__ = [
     "validate_batch",
     "BatchResult",
     "StreamingSession",
-    "DEFAULT_PARALLEL_THRESHOLD_PAIRS",
-    "DEFAULT_PARALLEL_THRESHOLD_SECONDS",
 ]

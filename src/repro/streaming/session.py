@@ -22,9 +22,7 @@ work that follows the delta rather than the candidate set:
    (:meth:`~repro.core.state.MatchState.forget_pairs` — their feature
    values are stale);
 4. re-match only the *affected* pairs — net-new plus invalidated — with
-   the same DM+EE kernel a full run uses, recording into the state; the
-   re-match dispatches to :mod:`repro.parallel` when the cost model says
-   the affected set is worth a pool.
+   the same DM+EE kernel a full run uses, recording into the state.
 
 The new candidates and state replace the session's only after step 4, so
 the pre-batch objects are never mutated.  If any step raises, the tables
@@ -49,9 +47,7 @@ from typing import List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..blocking.base import Blocker
-from ..core.cost_model import per_pair_cost
-from ..core.matchers import MatchResult, TraceLog
-from ..core.memo import ArrayMemo, HashMemo
+from ..core.matchers import MatchResult
 from ..core.session import DebugSession
 from ..core.stats import MatchStats
 from ..data.pairs import CandidateSet, PairId
@@ -59,13 +55,6 @@ from ..data.table import Table
 from ..errors import StreamingError
 from ..observability import maybe_span, record_batch_result
 from .deltas import Delta, DeltaBatch, apply_delta, validate_batch
-
-#: default affected-set size above which ingest dispatches to the pool
-#: when no cost estimates are available.
-DEFAULT_PARALLEL_THRESHOLD_PAIRS = 2000
-#: default predicted re-match seconds above which ingest dispatches to the
-#: pool when cost estimates are available.
-DEFAULT_PARALLEL_THRESHOLD_SECONDS = 0.05
 
 
 @dataclass
@@ -83,8 +72,6 @@ class BatchResult:
     lost: Tuple[PairId, ...]
     #: indices (post-batch) of the pairs that were re-matched.
     affected_indices: Tuple[int, ...]
-    #: True when the re-match ran on the parallel engine.
-    executed_parallel: bool = False
     #: total matches in the state after this batch (a snapshot, not a
     #: counter — kept out of :attr:`stats` so batch sums stay additive).
     match_count: int = 0
@@ -94,8 +81,7 @@ class BatchResult:
         return len(self.affected_indices)
 
     def summary(self) -> str:
-        where = "parallel" if self.executed_parallel else "serial"
-        return f"{self.stats.delta_summary()} [{where}]"
+        return self.stats.delta_summary()
 
 
 class StreamingSession:
@@ -114,17 +100,11 @@ class StreamingSession:
         blocker: Blocker,
         function,
         gold: Optional[Set[PairId]] = None,
-        workers: int = 1,
-        parallel_threshold_pairs: int = DEFAULT_PARALLEL_THRESHOLD_PAIRS,
-        parallel_threshold_seconds: float = DEFAULT_PARALLEL_THRESHOLD_SECONDS,
         **session_kwargs,
     ):
         self.table_a = table_a
         self.table_b = table_b
         self.blocker = blocker
-        self.workers = workers
-        self.parallel_threshold_pairs = parallel_threshold_pairs
-        self.parallel_threshold_seconds = parallel_threshold_seconds
         candidates = blocker.block(table_a, table_b)
         self.session = DebugSession(candidates, function, gold=gold, **session_kwargs)
         self.batch_history: List[BatchResult] = []
@@ -141,9 +121,6 @@ class StreamingSession:
         table_a: Table,
         table_b: Table,
         blocker: Blocker,
-        workers: int = 1,
-        parallel_threshold_pairs: int = DEFAULT_PARALLEL_THRESHOLD_PAIRS,
-        parallel_threshold_seconds: float = DEFAULT_PARALLEL_THRESHOLD_SECONDS,
     ) -> "StreamingSession":
         """Wrap an existing (already run) session without re-matching.
 
@@ -170,9 +147,6 @@ class StreamingSession:
         streaming.table_a = table_a
         streaming.table_b = table_b
         streaming.blocker = blocker
-        streaming.workers = workers
-        streaming.parallel_threshold_pairs = parallel_threshold_pairs
-        streaming.parallel_threshold_seconds = parallel_threshold_seconds
         streaming.session = session
         streaming.batch_history = []
         streaming._restored_run_stats = None
@@ -184,8 +158,8 @@ class StreamingSession:
     # Delegation to the wrapped session (rule-side operations)
     # ------------------------------------------------------------------
 
-    def run(self, workers: int = 1) -> MatchResult:
-        return self.session.run(workers=workers)
+    def run(self) -> MatchResult:
+        return self.session.run()
 
     def apply(self, change):
         """Apply one rule edit incrementally (Algorithms 7-10)."""
@@ -320,17 +294,8 @@ class StreamingSession:
 
                 # 4. Re-match exactly the affected pairs (net-new + invalidated).
                 affected = invalidated + list(range(rows.kept, rows.size))
-                parallel = self._should_parallelize(len(affected))
-                with maybe_span(
-                    observability,
-                    "rematch",
-                    affected=len(affected),
-                    parallel=parallel,
-                ):
-                    if parallel:
-                        self._rematch_parallel(new_state, affected, stats)
-                    else:
-                        self._rematch_serial(new_state, affected, stats)
+                with maybe_span(observability, "rematch", affected=len(affected)):
+                    self._rematch(new_state, affected, stats)
             except BaseException:
                 self._roll_back(saved_a, saved_b, touched_a, touched_b)
                 raise
@@ -347,7 +312,6 @@ class StreamingSession:
                 gained=tuple(net_new),
                 lost=tuple(sorted(lost)),
                 affected_indices=tuple(affected),
-                executed_parallel=parallel,
                 match_count=new_state.match_count(),
             )
             self._record(result)
@@ -370,11 +334,7 @@ class StreamingSession:
             kernels.invalidate_records("a", touched_a)
             kernels.invalidate_records("b", touched_b)
 
-    # ------------------------------------------------------------------
-    # Re-matching strategies
-    # ------------------------------------------------------------------
-
-    def _rematch_serial(self, state, affected: Sequence[int], stats: MatchStats) -> None:
+    def _rematch(self, state, affected: Sequence[int], stats: MatchStats) -> None:
         """Re-match the affected pairs in process, through the session's
         engine (a columnar one runs under the plan the state carried
         across the ingest), recording into the state exactly as a full
@@ -390,65 +350,6 @@ class StreamingSession:
         if observability is not None:
             evaluator.report_metrics(observability.metrics)
         stats.pairs_evaluated += len(affected)
-
-    def _rematch_parallel(self, state, affected: Sequence[int], stats: MatchStats) -> None:
-        """Re-match the affected pairs on the process pool.
-
-        The affected subset becomes a dense sub-candidate-set with its own
-        cold memo and trace; results translate back through the
-        local→global index map (memo via ``update_from``, trace facts via
-        direct re-recording, labels via fancy indexing).  Equivalent to
-        the serial path because affected pairs carry no prior facts.
-        """
-        from ..parallel import ParallelMatcher
-
-        function = state.function
-        sub_candidates = state.candidates.subset(affected)
-        names = [feature.name for feature in function.features()]
-        if isinstance(state.memo, ArrayMemo):
-            sub_memo = ArrayMemo(len(sub_candidates), names)
-        else:
-            sub_memo = HashMemo(len(sub_candidates), names)
-        trace = TraceLog()
-        matcher = ParallelMatcher(
-            workers=self.workers,
-            memo=sub_memo,
-            memo_backend="array" if isinstance(sub_memo, ArrayMemo) else "hash",
-            check_cache_first=self.session.check_cache_first,
-            recorder=trace,
-            estimates=self.session.estimates,
-            observability=self.observability,
-            kernels=state.kernels,
-            engine=self.session._engine_for(state),
-        )
-        result = matcher.run(function, sub_candidates)
-        index_map = {local: affected[local] for local in range(len(affected))}
-        state.memo.update_from(sub_memo, index_map=index_map)
-        for local_index, rule_name, slot in trace.predicate_falses:
-            state.record_predicate_false(affected[local_index], rule_name, slot)
-        for local_index, rule_name in trace.rule_matches:
-            state.record_rule_match(affected[local_index], rule_name)
-        state.labels[np.asarray(affected, dtype=np.int64)] = result.labels
-        run_stats = result.stats
-        stats.feature_computations += run_stats.feature_computations
-        stats.memo_hits += run_stats.memo_hits
-        stats.predicate_evaluations += run_stats.predicate_evaluations
-        stats.bound_skips += run_stats.bound_skips
-        stats.rule_evaluations += run_stats.rule_evaluations
-        stats.pairs_evaluated += run_stats.pairs_evaluated
-        stats.computations_by_feature += run_stats.computations_by_feature
-        stats.phase_seconds.update(run_stats.phase_seconds)
-        stats.worker_timings.extend(run_stats.worker_timings)
-
-    def _should_parallelize(self, n_affected: int) -> bool:
-        if self.workers <= 1 or n_affected == 0:
-            return False
-        estimates = self.session.estimates
-        state = self.session.state
-        if estimates is not None and state is not None:
-            predicted = n_affected * per_pair_cost(state.function, estimates)
-            return predicted >= self.parallel_threshold_seconds
-        return n_affected >= self.parallel_threshold_pairs
 
     # ------------------------------------------------------------------
     # Accounting

@@ -47,37 +47,6 @@ class WorkbenchError(ReproError):
     """User-facing command error (bad syntax, wrong session phase)."""
 
 
-def parse_workers_flag(arguments: List[str]) -> "tuple[int, List[str]]":
-    """Extract ``--workers N`` from an argument list.
-
-    Returns ``(workers, remaining_arguments)`` with the flag and its value
-    removed; ``workers`` is 1 when the flag is absent.  Raises
-    :class:`WorkbenchError` on a missing value, a non-integer, or a value
-    below 1 — shared by every command that can shard work over the pool
-    (``run``, ``ingest``).  Pool runs are observable like serial ones:
-    worker span logs are spliced into the session's trace (see the
-    ``trace`` command) and worker profiles fold into ``profile``.
-    """
-    workers = 1
-    remaining: List[str] = []
-    iterator = iter(arguments)
-    for token in iterator:
-        if token != "--workers":
-            remaining.append(token)
-            continue
-        try:
-            value = next(iterator)
-        except StopIteration:
-            raise WorkbenchError("--workers needs a value") from None
-        try:
-            workers = int(value)
-        except ValueError:
-            raise WorkbenchError("--workers needs an integer") from None
-        if workers < 1:
-            raise WorkbenchError("--workers must be >= 1")
-    return workers, remaining
-
-
 class Workbench:
     """Stateful command interpreter over one debugging session."""
 
@@ -166,8 +135,7 @@ class Workbench:
                 "commands:",
                 "  load <dataset> [--scale S] [--rules N] [--seed K]",
                 "  load-csv <a.csv> <b.csv> --block <attr> --rules '<DSL>'",
-                "  run [--workers N]            full matching run (orders rules first;",
-                "                               N>1 shards it over a process pool)",
+                "  run                          full matching run (orders rules first)",
                 "  rules                        list current rules",
                 "  plan                         compiled evaluation plan with",
                 "                               cost/selectivity annotations",
@@ -178,7 +146,7 @@ class Workbench:
                 "  drop-predicate <rule> <slot> remove a predicate (Alg 8)",
                 "  drop-rule <rule>             remove a rule (Alg 9)",
                 "  add-rule <dsl text>          add a rule (Alg 10)",
-                "  ingest <op> <side> <id> [attr=value ...] [--workers N]",
+                "  ingest <op> <side> <id> [attr=value ...]",
                 "                               apply a record delta (op: insert|",
                 "                               update|delete; side: a|b) and re-",
                 "                               match only the affected pairs",
@@ -207,7 +175,7 @@ class Workbench:
                 "  serve start [port] [ckpt-dir] | status | stop",
                 "                               run the matching service in-process",
                 "  remote connect <host:port>   point 'remote' at a server",
-                "  remote create <name> <dataset> [--scale S] [--seed K] [--workers N]",
+                "  remote create <name> <dataset> [--scale S] [--seed K]",
                 "  remote sessions | info <name> | close <name>",
                 "  remote ingest <name> <op> <a|b> <id> [attr=value ...]",
                 "  remote tighten|relax <name> <rule> <slot> <thr>",
@@ -346,28 +314,12 @@ class Workbench:
     def cmd_run(self, arguments: List[str]) -> str:
         if self.session is None:
             raise WorkbenchError("load a dataset first")
-        workers, remaining = parse_workers_flag(arguments)
-        if remaining:
-            raise WorkbenchError(f"unknown flag {remaining[0]!r}")
-        result = self.session.run(workers=workers)
-        output = f"ran: {result.stats.summary()}"
-        if workers > 1 and result.stats.worker_timings:
-            chunks = len(result.stats.worker_timings)
-            pids = {timing.worker_pid for timing in result.stats.worker_timings}
-            retried = sum(
-                1 for timing in result.stats.worker_timings if timing.attempts > 1
-            )
-            fallbacks = sum(
-                1 for timing in result.stats.worker_timings if timing.fallback
-            )
-            output += (
-                f"\nparallel: {chunks} chunks over {len(pids)} workers"
-                + (f", {retried} retried" if retried else "")
-                + (f", {fallbacks} ran in parent" if fallbacks else "")
-            )
-        return output
+        if arguments:
+            raise WorkbenchError(f"unknown flag {arguments[0]!r}")
+        result = self.session.run()
+        return f"ran: {result.stats.summary()}"
 
-    def _require_streaming(self, workers: int = 1):
+    def _require_streaming(self):
         """The lazily created streaming wrapper around the live session."""
         from .streaming import StreamingSession
 
@@ -378,22 +330,18 @@ class Workbench:
             )
         if self.streaming is None or self.streaming.session is not session:
             self.streaming = StreamingSession.adopt(
-                session, self.tables[0], self.tables[1], self.blocker,
-                workers=workers,
+                session, self.tables[0], self.tables[1], self.blocker
             )
-        else:
-            self.streaming.workers = workers
         return self.streaming
 
     def cmd_ingest(self, arguments: List[str]) -> str:
         """``ingest <insert|update|delete> <a|b> <id> [attr=value ...]``"""
         from .streaming import Delta
 
-        workers, arguments = parse_workers_flag(arguments)
         if len(arguments) < 3:
             raise WorkbenchError(
                 "usage: ingest <insert|update|delete> <a|b> <record_id> "
-                "[attr=value ...] [--workers N]"
+                "[attr=value ...]"
             )
         op, side, record_id, *assignments = arguments
         values = {}
@@ -415,7 +363,7 @@ class Workbench:
                 raise WorkbenchError(
                     f"unknown delta op {op!r}; use insert, update, or delete"
                 )
-            streaming = self._require_streaming(workers)
+            streaming = self._require_streaming()
             result = streaming.ingest(delta)
         except ReproError as error:
             if isinstance(error, WorkbenchError):
@@ -896,11 +844,10 @@ class Workbench:
     def _remote_action(self, action: str, rest: List[str]) -> str:
         client = self._require_remote()
         if action == "create":
-            workers, rest = parse_workers_flag(rest)
             if len(rest) < 2:
                 raise WorkbenchError(
                     "usage: remote create <name> <dataset> [--scale S] "
-                    "[--seed K] [--workers N]"
+                    "[--seed K]"
                 )
             name, dataset, *flags = rest
             spec = {"name": dataset}
@@ -915,9 +862,7 @@ class Workbench:
                         raise WorkbenchError(f"unknown flag {flag!r}")
                 except (StopIteration, ValueError):
                     raise WorkbenchError(f"{flag} needs a value") from None
-            created = client.create_session(
-                {"name": name, "dataset": spec, "workers": workers}
-            )
+            created = client.create_session({"name": name, "dataset": spec})
             run = created["initial_run"]
             return (
                 f"created {name!r}: "

@@ -5,7 +5,9 @@ against its manifest and falls back to the previous generation when it
 does not verify.  These tests fail the save's write helper at every file
 boundary (plainly, and as a partial write hitting ENOSPC), flip bytes in
 every file of a published generation, restore a committed version-1
-checkpoint, and check that no version-2 load unpickles.  They also pin
+checkpoint and one that still carries settings of the retired process
+pool, check that thresholds restore exactly, and check that no version-2
+load unpickles.  They also pin
 the streaming session's running batch totals to the re-merge fold they
 replace, and the index-only re-block to the full one.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import errno
 import functools
 import io
+import json
 import shutil
 import sys
 import threading
@@ -26,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import OverlapBlocker
-from repro.core import persistence
+from repro.core import TightenPredicate, persistence
 from repro.core.persistence import (
     load_session,
     load_state,
@@ -272,6 +275,67 @@ class TestFormatCompatibility:
         assert upgraded.ingest(delta).match_count == live.ingest(delta).match_count
         assert set(upgraded.session.matched_ids()) == set(live.session.matched_ids())
 
+    def test_keys_of_the_retired_process_pool_are_ignored(self, tmp_path, reseal):
+        streaming = _build_streaming()
+        _advance(streaming)
+        save_session(streaming, tmp_path / "ckpt", blocker_spec=BLOCKER_SPEC)
+        generation = open_checkpoint(tmp_path / "ckpt").path
+        settings = {
+            "workers": 2,
+            "parallel_threshold_pairs": 2000,
+            "parallel_threshold_seconds": 0.05,
+        }
+        timings = {
+            "phase_seconds": {"execute": 0.2},
+            "worker_timings": [{
+                "chunk_id": 0, "worker_pid": 4242, "pairs": 3,
+                "elapsed_seconds": 0.01, "attempts": 2, "fallback": True,
+            }],
+        }
+        for name, extra in (
+            ("meta.json", settings),
+            ("session.json", settings),
+            ("stats.json", timings),
+        ):
+            data = json.loads((generation / name).read_text())
+            data.update(extra)
+            if name == "session.json":
+                data["batch_stats"].update(timings)
+            (generation / name).write_text(json.dumps(data))
+        reseal(generation)
+
+        restored = load_session(tmp_path / "ckpt", _blocker())
+        assert _image(restored) == _image(streaming)
+        assert restored.run_stats() == streaming.run_stats()
+        assert restored.total_batch_stats() == streaming.total_batch_stats()
+        assert restored.batches_ingested == streaming.batches_ingested
+
+    def test_thresholds_round_trip_exactly(self, tmp_path):
+        streaming = _build_streaming()
+        rules = {rule.name: rule for rule in streaming.function.rules}
+        jaro = next(p for p in rules["R2"].predicates if p.feature.sim.name == "jaro")
+        # Both have more significant digits than the DSL's %g form keeps.
+        streaming.apply(
+            TightenPredicate("R1", rules["R1"].predicates[0].slot, 0.6170001234567)
+        )
+        streaming.apply(TightenPredicate("R2", jaro.slot, 14 / 15))
+
+        def thresholds(function):
+            return sorted(
+                (rule.name, predicate.slot, predicate.threshold)
+                for rule in function.rules
+                for predicate in rule.predicates
+            )
+
+        saved = thresholds(streaming.function)
+        assert ("R1", rules["R1"].predicates[0].slot, 0.6170001234567) in saved
+        save_state(streaming.state, tmp_path / "state")
+        state = load_state(tmp_path / "state", streaming.candidates)
+        assert thresholds(state.function) == saved
+        save_session(streaming, tmp_path / "session", blocker_spec=BLOCKER_SPEC)
+        restored = load_session(tmp_path / "session", _blocker())
+        assert thresholds(restored.function) == saved
+
     def test_v1_state_directory_loads(self):
         restored = load_session(V1_FIXTURE, _blocker())
         state = load_state(V1_FIXTURE / "state", restored.candidates)
@@ -331,7 +395,6 @@ class TestRunningBatchTotals:
         base = MatchStats()
         if restored:
             base = MatchStats(deltas_applied=7, elapsed_seconds=seconds, memo_hits=3)
-            base.phase_seconds["rematch"] = seconds / 3
             base.computations_by_feature["jaro(author,author)"] = 2
             streaming.seed_restored(batch_stats=base, batches=4)
         for a_id, b_id, title in script:
@@ -350,7 +413,7 @@ class TestRunningBatchTotals:
         assert total.elapsed_seconds.hex() == fold.elapsed_seconds.hex()
         # A copy: callers cannot corrupt the running total.
         total.deltas_applied += 100
-        total.phase_seconds["rematch"] = -1.0
+        total.computations_by_feature["jaro(author,author)"] = -1
         assert streaming.total_batch_stats() == fold
 
 

@@ -1,18 +1,16 @@
 """Unit tests for the columnar plan/executor engine (:mod:`repro.engine`)
-and its integration points: session dispatch, parallel transport,
-streaming re-match, refinement scoring, metrics, and the workbench
-``plan`` command.
+and its integration points: session dispatch, streaming re-match,
+refinement scoring, metrics, and the workbench ``plan`` command.
 
 Bit-identity of the engine itself is hammered property-style in
 :mod:`tests.test_columnar_properties`; this module pins down the concrete
-API surface — plan structure, spec round-trips, engine resolution rules,
-counter plumbing — with small deterministic inputs.
+API surface — plan structure, engine resolution rules, counter
+plumbing — with small deterministic inputs.
 """
 
 from __future__ import annotations
 
 import gc
-import pickle
 import weakref
 
 import numpy as np
@@ -39,14 +37,9 @@ from repro.data import CandidateSet, Table
 from repro.engine import ColumnarMatcher, MatchPlan, plan_function
 from repro.engine import executor as executor_module
 from repro.engine import plan as plan_module
-from repro.engine.plan import PlanSpec
-from repro.errors import MatchingError, ParallelExecutionError, RefinementError
+from repro.errors import MatchingError, RefinementError
 from repro.kernels import FeatureKernels
 from repro.observability import Observability
-from repro.parallel import ParallelMatcher
-from repro.parallel.partitioner import Chunk
-from repro.parallel.payload import build_chunk_task, serialize_function
-from repro.parallel.worker import run_chunk
 from repro.refine import RefineConfig, RefinementSearch
 from repro.streaming import Delta, StreamingSession
 from repro.workbench import Workbench, WorkbenchError
@@ -181,44 +174,6 @@ class TestPlanner:
         assert "kernel family" in text
         assert "engine: columnar (mixed)" in text
         assert "us/pair" in text
-
-    def test_spec_round_trip_is_picklable(
-        self, supported_function, people_candidates
-    ):
-        kernels = FeatureKernels(use_bounds=True)
-        estimates = CostEstimator(
-            sample_fraction=1.0, min_sample=1, mode="calibrated"
-        ).estimate(supported_function, people_candidates, kernels=kernels)
-        plan = plan_function(
-            supported_function,
-            kernels=kernels,
-            estimates=estimates,
-            check_cache_first=True,
-        )
-        spec = pickle.loads(pickle.dumps(plan.spec()))
-        assert isinstance(spec, PlanSpec)
-        rebuilt = spec.bind(supported_function, FeatureKernels(use_bounds=True))
-        assert rebuilt.check_cache_first == plan.check_cache_first
-        assert rebuilt.use_bounds == plan.use_bounds
-        for original_rs, rebuilt_rs in zip(plan.rule_steps, rebuilt.rule_steps):
-            for original, copy in zip(original_rs.steps, rebuilt_rs.steps):
-                assert copy.kernel_supported == original.kernel_supported
-                assert copy.est_cost == original.est_cost
-                assert copy.est_selectivity == original.est_selectivity
-
-    def test_spec_bind_recomputes_support_for_worker_kernels(
-        self, supported_function
-    ):
-        spec = plan_function(
-            supported_function, kernels=FeatureKernels(use_bounds=True)
-        ).spec()
-        # a worker without kernels must get an all-scalar plan
-        rebuilt = spec.bind(supported_function, None)
-        assert all(
-            not step.kernel_supported
-            for rule_step in rebuilt.rule_steps
-            for step in rule_step.steps
-        )
 
 
 # ----------------------------------------------------------------------
@@ -711,140 +666,6 @@ class TestPlanLifetime:
         plan = session.state.plan
         assert len(plan.rule_steps) == len(session.function.rules)
         _assert_plan_current(session)
-
-
-# ----------------------------------------------------------------------
-# Parallel transport
-# ----------------------------------------------------------------------
-
-
-class TestParallelTransport:
-    def test_chunk_task_defaults_to_scalar(self, people_candidates):
-        function = parse_function(SUPPORTED_DSL)
-        task = build_chunk_task(
-            Chunk(0, 0, len(people_candidates)),
-            people_candidates,
-            serialize_function(function),
-        )
-        assert task.engine == "scalar"
-        assert task.plan_spec is None
-
-    @pytest.mark.usefixtures("all_columnar")
-    def test_worker_runs_columnar_chunk(self, people_candidates):
-        function = parse_function(SUPPORTED_DSL)
-        kernels = FeatureKernels(use_bounds=True)
-        plan_spec = plan_function(function, kernels=kernels).spec()
-        task = build_chunk_task(
-            Chunk(0, 0, len(people_candidates)),
-            people_candidates,
-            serialize_function(function),
-            use_kernels=True,
-            use_bounds=True,
-            engine="columnar",
-            plan_spec=plan_spec,
-        )
-        outcome = run_chunk(task)
-        assert outcome.mask_evals > 0
-        assert outcome.scalar_fallbacks == 0
-        serial = DynamicMemoMatcher(kernels=FeatureKernels(use_bounds=True)).run(
-            function, people_candidates
-        )
-        assert np.array_equal(outcome.labels, serial.labels)
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ParallelExecutionError, match="engine must be"):
-            ParallelMatcher(workers=2, engine="simd")
-
-    @pytest.mark.usefixtures("all_columnar")
-    def test_worker_bind_cache_reuses_plan(self, people_candidates):
-        import dataclasses
-
-        function = parse_function(SUPPORTED_DSL)
-        kernels = FeatureKernels(use_bounds=True)
-        plan_spec = plan_function(function, kernels=kernels).spec()
-        task = build_chunk_task(
-            Chunk(0, 0, len(people_candidates)),
-            people_candidates,
-            serialize_function(function),
-            use_kernels=True,
-            use_bounds=True,
-            engine="auto",
-            plan_spec=plan_spec,
-            run_token=990001,
-        )
-        first = run_chunk(task)
-        second = run_chunk(task)  # same process: cache must hit
-        assert first.plan_binds == 1 and first.plan_cache_hits == 0
-        assert second.plan_binds == 0 and second.plan_cache_hits == 1
-        assert np.array_equal(first.labels, second.labels)
-        assert first.mask_evals > 0  # auto resolved columnar in-worker
-        # a different run token fences off reuse across runs
-        third = run_chunk(dataclasses.replace(task, run_token=990002))
-        assert third.plan_binds == 1 and third.plan_cache_hits == 0
-
-    @pytest.mark.usefixtures("all_columnar")
-    def test_worker_auto_matches_serial(self, people_candidates):
-        function = parse_function(MIXED_DSL)
-        kernels = FeatureKernels(use_bounds=True)
-        plan_spec = plan_function(function, kernels=kernels).spec()
-        task = build_chunk_task(
-            Chunk(0, 0, len(people_candidates)),
-            people_candidates,
-            serialize_function(function),
-            use_kernels=True,
-            use_bounds=True,
-            engine="auto",
-            plan_spec=plan_spec,
-            run_token=990003,
-        )
-        outcome = run_chunk(task)
-        # mixed plan: cost model picks columnar, needleman_wunsch falls back
-        assert outcome.mask_evals > 0
-        assert outcome.scalar_fallbacks > 0
-        serial = DynamicMemoMatcher(
-            kernels=FeatureKernels(use_bounds=True)
-        ).run(function, people_candidates)
-        assert np.array_equal(outcome.labels, serial.labels)
-
-    def test_parallel_columnar_matches_serial_scalar(self, tiny_candidates):
-        function = parse_function(SUPPORTED_DSL.replace("name", "title").replace("zip", "brand"))
-        observability = Observability()
-        parallel = ParallelMatcher(
-            workers=2,
-            min_chunk_size=50,
-            kernels=FeatureKernels(use_bounds=True),
-            observability=observability,
-            engine="columnar",
-        ).run(function, tiny_candidates)
-        serial = DynamicMemoMatcher(
-            kernels=FeatureKernels(use_bounds=True)
-        ).run(function, tiny_candidates)
-        assert np.array_equal(parallel.labels, serial.labels)
-        assert observability.metrics.value("engine.mask_evals") > 0
-
-    def test_parallel_auto_counts_plan_binds(self, tiny_candidates):
-        function = parse_function(
-            SUPPORTED_DSL.replace("name", "title").replace("zip", "brand")
-        )
-        observability = Observability()
-        matcher = ParallelMatcher(
-            workers=2,
-            min_chunk_size=50,
-            kernels=FeatureKernels(use_bounds=True),
-            observability=observability,
-            engine="auto",
-        )
-        parallel = matcher.run(function, tiny_candidates)
-        serial = DynamicMemoMatcher(
-            kernels=FeatureKernels(use_bounds=True)
-        ).run(function, tiny_candidates)
-        assert np.array_equal(parallel.labels, serial.labels)
-        if matcher.fallback_reason is None:
-            # pool path: every chunk bound or reused a worker-side plan
-            binds = observability.metrics.value("engine.plan_binds")
-            hits = observability.metrics.value("engine.plan_cache_hits")
-            assert binds >= 1
-            assert binds + hits == len(matcher.last_plan)
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ Three layers of guarantees, in increasing scope:
    the None/empty conventions, and bound decisions always agree with the
    full evaluation they skip.
 3. **End to end** — sessions with kernels/bounds on produce the same
-   labels as with them off, across datasets and across the serial,
-   parallel, and streaming execution paths, and drift detection stays
-   quiet under caching.
+   labels as with them off, across datasets and across the full-run and
+   streaming execution paths, and drift detection stays quiet under
+   caching.
 """
 
 from __future__ import annotations
@@ -642,7 +642,7 @@ def workloads():
 
 class TestSessionEquivalence:
     @pytest.mark.parametrize("dataset", ["products", "restaurants"])
-    def test_serial_and_parallel_match_the_uncached_session(
+    def test_cached_session_labels_match_the_uncached_session(
         self, workloads, dataset
     ):
         workload = workloads[dataset]
@@ -662,12 +662,6 @@ class TestSessionEquivalence:
         assert np.array_equal(serial.labels, reference.labels)
         assert serial.stats.pairs_matched == reference.stats.pairs_matched
         assert cached.kernels.cache.total_hits > 0
-
-        pooled = DebugSession(
-            workload.candidates, workload.function, ordering="original"
-        )
-        parallel = pooled.run(workers=2)
-        assert np.array_equal(parallel.labels, reference.labels)
 
     @pytest.mark.parametrize("dataset", ["products", "restaurants"])
     def test_cache_only_session_counters_equal_seed(self, workloads, dataset):
@@ -953,7 +947,6 @@ class TestAccounting:
         first = MatchStats(bound_skips=3)
         second = MatchStats(bound_skips=4)
         assert first.merged_with(second).bound_skips == 7
-        assert first.merge(second).bound_skips == 7
 
     def test_profiler_bound_skips_survive_snapshot_and_merge(self):
         from repro.observability import Profiler

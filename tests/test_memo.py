@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArrayMemo, HashMemo, ValueCache
-from repro.errors import MatchingError, UnknownFeatureError
+from repro.errors import UnknownFeatureError
 
 
 @pytest.fixture(params=["array", "hash"])
@@ -218,109 +218,6 @@ class TestItems:
             array_memo.put(pair_index, feature, value)
             hash_memo.put(pair_index, feature, value)
         assert sorted(array_memo.items()) == sorted(hash_memo.items())
-
-
-class TestUpdateFrom:
-    """Bulk merge of one memo into another (parallel merge-back)."""
-
-    @pytest.fixture(params=["array", "hash"])
-    def other(self, request):
-        if request.param == "array":
-            return ArrayMemo(10, ["f1"])
-        return HashMemo(10, ["f1"])
-
-    def test_copies_all_entries(self, memo, other):
-        other.put(0, "f1", 0.5)
-        other.put(7, "f2", 0.0)
-        copied = memo.update_from(other)
-        assert copied == 2
-        assert memo.get(0, "f1") == 0.5
-        assert memo.get(7, "f2") == 0.0
-        assert memo.contains(7, "f2")
-
-    def test_last_write_wins_on_conflict(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        memo.update_from(other)
-        assert memo.get(1, "f1") == 0.9
-
-    def test_check_conflicts_accepts_identical_values(self, memo, other):
-        memo.put(1, "f1", 0.5)
-        other.put(1, "f1", 0.5)
-        memo.update_from(other, check_conflicts=True)
-        assert memo.get(1, "f1") == 0.5
-
-    def test_check_conflicts_rejects_differing_values(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        with pytest.raises(MatchingError):
-            memo.update_from(other, check_conflicts=True)
-
-    def test_index_map_mapping(self, memo, other):
-        other.put(0, "f1", 0.3)
-        other.put(1, "f1", 0.6)
-        memo.update_from(other, index_map={0: 5, 1: 6})
-        assert memo.get(5, "f1") == 0.3
-        assert memo.get(6, "f1") == 0.6
-        assert memo.get(0, "f1") is None
-
-    def test_index_map_callable_offset(self, memo, other):
-        # The parallel stitcher's shape: local worker index + chunk start.
-        other.put(0, "f1", 0.3)
-        other.put(2, "f1", 0.6)
-        memo.update_from(other, index_map=lambda index: index + 4)
-        assert memo.get(4, "f1") == 0.3
-        assert memo.get(6, "f1") == 0.6
-
-    def test_empty_source_is_noop(self, memo, other):
-        memo.put(0, "f1", 0.5)
-        assert memo.update_from(other) == 0
-        assert len(memo) == 1
-
-    def test_on_conflict_overwrite_is_default(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        copied = memo.update_from(other, on_conflict="overwrite")
-        assert copied == 1
-        assert memo.get(1, "f1") == 0.9
-
-    def test_on_conflict_keep_preserves_existing(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        other.put(2, "f1", 0.4)
-        copied = memo.update_from(other, on_conflict="keep")
-        # The kept (skipped) entry does not count as copied.
-        assert copied == 1
-        assert memo.get(1, "f1") == 0.2
-        assert memo.get(2, "f1") == 0.4
-
-    def test_on_conflict_error_rejects_differing_values(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        with pytest.raises(MatchingError):
-            memo.update_from(other, on_conflict="error")
-
-    def test_on_conflict_error_accepts_identical_values(self, memo, other):
-        memo.put(1, "f1", 0.5)
-        other.put(1, "f1", 0.5)
-        assert memo.update_from(other, on_conflict="error") == 1
-        assert memo.get(1, "f1") == 0.5
-
-    def test_on_conflict_invalid_value_rejected(self, memo, other):
-        with pytest.raises(MatchingError):
-            memo.update_from(other, on_conflict="merge")
-
-    def test_check_conflicts_is_error_spelling(self, memo, other):
-        memo.put(1, "f1", 0.2)
-        other.put(1, "f1", 0.9)
-        with pytest.raises(MatchingError):
-            memo.update_from(other, check_conflicts=True, on_conflict="keep")
-
-    def test_on_conflict_keep_respects_index_map(self, memo, other):
-        memo.put(5, "f1", 0.2)
-        other.put(0, "f1", 0.9)
-        memo.update_from(other, index_map={0: 5}, on_conflict="keep")
-        assert memo.get(5, "f1") == 0.2
 
 
 class TestInvalidatePairs:

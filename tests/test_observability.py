@@ -6,8 +6,6 @@ then the integration invariants that make the layer trustworthy:
 * an ``Observability``-carrying session produces byte-identical matcher
   counters to a session built without one (observation never perturbs
   the observed run);
-* a parallel run's worker span logs splice into one coherent tree under
-  the parent's ``execute`` span;
 * a streaming ingest produces one span tree + one metrics snapshot
   alongside the run's, exportable together as JSON lines.
 """
@@ -18,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import CostEstimator, DebugSession, parse_function
-from repro.core.stats import MatchStats, WorkerTiming
+from repro.core.stats import MatchStats
 from repro.data import CandidateSet, Record, Table
 from repro.errors import EstimationError
 from repro.observability import (
@@ -28,7 +26,6 @@ from repro.observability import (
     MetricsRegistry,
     Observability,
     Profiler,
-    SpanLog,
     Tracer,
     detect_drift,
     maybe_span,
@@ -109,31 +106,6 @@ class TestSpans:
             pass
         assert after.parent_id is None
 
-    def test_splice_rebases_ids_and_reparents(self):
-        parent = SpanLog()
-        root = parent.new_span("execute", parent_id=None, start=0.0)
-        root.duration = 1.0
-
-        child = SpanLog()
-        chunk = child.new_span("chunk:0", parent_id=None, start=100.0)
-        inner = child.new_span("match", parent_id=chunk.span_id, start=100.2)
-        inner.duration = 0.2
-        chunk.duration = 0.5
-
-        parent.splice(child, parent_id=root.span_id, time_offset=0.1)
-        names = [record.name for record in parent.records]
-        assert names == ["execute", "chunk:0", "match"]
-        spliced_chunk = parent.find("chunk:0")
-        spliced_inner = parent.find("match")
-        # re-parented under the parent's execute span
-        assert spliced_chunk.parent_id == root.span_id
-        # the chunk's internal parent/child link survives the id rebase
-        assert spliced_inner.parent_id == spliced_chunk.span_id
-        assert spliced_chunk.span_id != chunk.span_id
-        # worker clocks are rebased: earliest child starts at the offset
-        assert spliced_chunk.start == pytest.approx(0.1)
-        assert spliced_inner.start == pytest.approx(0.3)
-
     def test_json_lines_round_trip(self):
         tracer = Tracer()
         with tracer.span("a", k="v"):
@@ -198,32 +170,6 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.gauge("x")
 
-    def test_merge_sums_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("n").inc(2)
-        b.counter("n").inc(3)
-        a.histogram("h").observe(1e-5)
-        b.histogram("h").observe(1e-5)
-        a.gauge("g").set(1.0)
-        b.gauge("g").set(9.0)
-        a.merge(b)
-        assert a.value("n") == 5
-        assert a.histogram("h").count == 2
-        assert a.value("g") == 9.0  # last write wins
-
-    def test_merge_accepts_snapshot(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.counter("n").inc(7)
-        a.merge(b.snapshot())
-        assert a.value("n") == 7
-
-    def test_merge_bounds_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", bounds=(1.0, float("inf"))).observe(0.5)
-        b.histogram("h", bounds=(2.0, float("inf"))).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_diff_subtracts_counters(self):
         registry = MetricsRegistry()
         registry.counter("n").inc(2)
@@ -250,19 +196,11 @@ class TestMetrics:
             elapsed_seconds=0.25,
         )
         stats.computations_by_feature["jaccard_ws(name,name)"] = 10
-        stats.phase_seconds["execute"] = 0.2
-        stats.worker_timings.append(
-            WorkerTiming(chunk_id=0, worker_pid=1, pairs=5,
-                         elapsed_seconds=0.2, attempts=2, fallback=True)
-        )
         registry = MetricsRegistry()
         record_match_stats(registry, stats, prefix="run")
         assert registry.value("run.feature_computations") == 10
         assert registry.value("run.runs") == 1
         assert registry.value("run.computations.jaccard_ws(name,name)") == 10
-        assert registry.value("run.chunks") == 1
-        assert registry.value("run.chunk_retries") == 1
-        assert registry.value("run.chunk_fallbacks") == 1
         assert registry.histogram("run.elapsed_seconds").count == 1
 
 
@@ -433,47 +371,6 @@ class TestSessionIntegration:
             == plain.stats.computations_by_feature
         )
         assert np.array_equal(observed.labels, plain.labels)
-
-    def test_parallel_run_splices_worker_spans(
-        self, company_candidates, company_function
-    ):
-        observability = Observability(profile=True, sample_every=1)
-        session = DebugSession(
-            company_candidates, company_function, observability=observability
-        )
-        result = session.run(workers=2)
-        log = observability.tracer.log
-        execute = log.find("execute")
-        assert execute is not None
-        chunk_spans = [
-            record for record in log.records
-            if record.name.startswith("chunk:")
-        ]
-        assert len(chunk_spans) >= 2
-        # every chunk span hangs off the parent's execute span, and its
-        # own children (rebuild/match) hang off the chunk
-        for chunk in chunk_spans:
-            assert chunk.parent_id == execute.span_id
-            child_names = {r.name for r in log.children(chunk.span_id)}
-            assert {"rebuild", "match"} <= child_names
-        # worker profiles folded into the parent's profiler
-        for feature in company_function.features():
-            if result.stats.computations_by_feature[feature.name]:
-                assert (
-                    observability.profiler.observed_feature_cost(feature.name)
-                    is not None
-                )
-
-    def test_parallel_labels_match_serial_under_observation(
-        self, company_candidates, company_function
-    ):
-        serial = DebugSession(company_candidates, company_function).run()
-        parallel = DebugSession(
-            company_candidates,
-            company_function,
-            observability=Observability(profile=True, sample_every=4),
-        ).run(workers=2)
-        assert np.array_equal(serial.labels, parallel.labels)
 
     def test_profiler_collects_on_serial_run(
         self, company_candidates, company_function

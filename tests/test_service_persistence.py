@@ -2,8 +2,7 @@
 
 Covers the service layer's durability contract: ``MatchStats`` survives
 save/load with every field intact (the seed's ``save_state`` dropped
-``phase_seconds``/``worker_timings``/``bound_skips`` — regression-locked
-here), and a full :func:`repro.core.persistence.save_session` /
+``bound_skips`` — regression-locked here), and a full :func:`repro.core.persistence.save_session` /
 ``load_session`` cycle restores a streaming session whose labels,
 attribution, memo, and accounting equal the original entry for entry —
 and which keeps ingesting correctly afterwards, from cold token caches.
@@ -27,7 +26,7 @@ from repro.core.persistence import (
     stats_from_dict,
     stats_to_dict,
 )
-from repro.core.stats import MatchStats, WorkerTiming
+from repro.core.stats import MatchStats
 from repro.data import Record, Table
 from repro.errors import StateError
 from repro.streaming import Delta, DeltaBatch, StreamingSession
@@ -51,16 +50,6 @@ def _full_stats() -> MatchStats:
     )
     stats.computations_by_feature["jaccard_ws(title,title)"] = 21
     stats.computations_by_feature["jaro(author,author)"] = 20
-    stats.phase_seconds["order"] = 0.01
-    stats.phase_seconds["match"] = 0.11
-    stats.worker_timings.append(
-        WorkerTiming(chunk_id=0, worker_pid=4242, pairs=15,
-                     elapsed_seconds=0.05)
-    )
-    stats.worker_timings.append(
-        WorkerTiming(chunk_id=1, worker_pid=4243, pairs=15,
-                     elapsed_seconds=0.06, attempts=2, fallback=True)
-    )
     return stats
 
 
@@ -119,9 +108,7 @@ class TestStatsRoundTrip:
         stats = _full_stats()
         restored = stats_from_dict(stats_to_dict(stats))
         assert restored == stats
-        # the regression fields specifically (previously dropped):
-        assert restored.phase_seconds == stats.phase_seconds
-        assert restored.worker_timings == stats.worker_timings
+        # the regression field specifically (previously dropped):
         assert restored.bound_skips == stats.bound_skips
         assert restored.computations_by_feature == stats.computations_by_feature
 

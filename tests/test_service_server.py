@@ -109,7 +109,7 @@ def _direct_reference() -> StreamingSession:
 def _counters(stats_dict):
     """Deterministic subset of a stats payload (drop wall-clock noise)."""
     cleaned = dict(stats_dict)
-    for key in ("elapsed_seconds", "phase_seconds", "worker_timings"):
+    for key in ("elapsed_seconds",):
         cleaned.pop(key, None)
     return cleaned
 
@@ -246,6 +246,21 @@ class TestErrorEnvelopes:
                 "engine", [{"op": "delete", "side": "a", "id": "missing"}]
             )
         assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize("field", ["drift_every", "seed", "scale"])
+    def test_unparseable_create_number_is_bad_request(self, server, field):
+        client, _thread, _root = server
+        if field == "drift_every":
+            payload = {**_create_payload("num"), "drift_every": "often"}
+        else:
+            dataset = {"name": "restaurants", field: "big"}
+            payload = {"name": "num", "dataset": dataset}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.create_session(payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert repr(field) in str(excinfo.value)
+        assert client.list_sessions() == []
 
     def test_unknown_route_is_not_found(self, server):
         client, _thread, _root = server

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MatchStats, WorkerTiming
+from repro.core import MatchStats
 
 
 class TestCounters:
@@ -76,30 +76,6 @@ class TestMergeAndSummary:
         # merge does not mutate inputs
         assert first.feature_computations == 1
 
-    def test_merged_with_sums_phases_and_keeps_worker_timings(self):
-        """Sequential totaling must not drop parallel-run accounting.
-
-        A streaming batch that re-matched on the pool carries
-        ``phase_seconds`` and ``worker_timings``; ``merged_with`` used to
-        silently discard both when batches were totaled.  Sequential runs
-        happened one after another, so phase clocks add and per-chunk
-        records concatenate in order.
-        """
-        first = MatchStats()
-        first.phase_seconds = {"partition": 0.1, "execute": 0.5}
-        first.worker_timings = [WorkerTiming(0, 100, 50, 0.2)]
-        second = MatchStats()
-        second.phase_seconds = {"execute": 0.25, "stitch": 0.05}
-        second.worker_timings = [WorkerTiming(1, 101, 60, 0.3)]
-        merged = first.merged_with(second)
-        assert merged.phase_seconds == pytest.approx(
-            {"partition": 0.1, "execute": 0.75, "stitch": 0.05}
-        )
-        assert [t.chunk_id for t in merged.worker_timings] == [0, 1]
-        # inputs not mutated, including the list/dict fields
-        assert first.phase_seconds == {"partition": 0.1, "execute": 0.5}
-        assert len(second.worker_timings) == 1
-
     def test_summary_contains_counters(self):
         stats = MatchStats()
         stats.pairs_evaluated = 10
@@ -107,101 +83,3 @@ class TestMergeAndSummary:
         text = stats.summary()
         assert "pairs=10" in text
         assert "matched=3" in text
-
-
-class TestParallelMerge:
-    """merge() combines *concurrent* runs: counters sum, clocks take max."""
-
-    def test_counters_sum(self):
-        first = MatchStats()
-        first.record_computation("f1")
-        first.record_hit()
-        first.predicate_evaluations = 4
-        first.rule_evaluations = 2
-        first.pairs_evaluated = 10
-        first.pairs_matched = 1
-        second = MatchStats()
-        second.record_computation("f1")
-        second.record_computation("f2")
-        second.predicate_evaluations = 6
-        second.rule_evaluations = 3
-        second.pairs_evaluated = 20
-        second.pairs_matched = 4
-        merged = first.merge(second)
-        assert merged.feature_computations == 3
-        assert merged.memo_hits == 1
-        assert merged.predicate_evaluations == 10
-        assert merged.rule_evaluations == 5
-        assert merged.pairs_evaluated == 30
-        assert merged.pairs_matched == 5
-        assert merged.computations_by_feature == {"f1": 2, "f2": 1}
-
-    def test_wallclock_takes_max_not_sum(self):
-        first = MatchStats(elapsed_seconds=0.5)
-        second = MatchStats(elapsed_seconds=0.3)
-        assert first.merge(second).elapsed_seconds == pytest.approx(0.5)
-        # contrast with the sequential semantics
-        assert first.merged_with(second).elapsed_seconds == pytest.approx(0.8)
-
-    def test_phase_seconds_max_per_phase(self):
-        first = MatchStats()
-        first.phase_seconds = {"execute": 1.0, "stitch": 0.1}
-        second = MatchStats()
-        second.phase_seconds = {"execute": 0.4, "serialize": 0.2}
-        merged = first.merge(second)
-        assert merged.phase_seconds == {
-            "execute": 1.0,
-            "stitch": 0.1,
-            "serialize": 0.2,
-        }
-
-    def test_worker_timings_concatenate_sorted_by_chunk(self):
-        first = MatchStats()
-        first.worker_timings = [WorkerTiming(2, 100, 50, 0.1)]
-        second = MatchStats()
-        second.worker_timings = [
-            WorkerTiming(0, 101, 50, 0.2),
-            WorkerTiming(1, 102, 50, 0.3),
-        ]
-        merged = first.merge(second)
-        assert [timing.chunk_id for timing in merged.worker_timings] == [0, 1, 2]
-
-    def test_merge_does_not_mutate_inputs(self):
-        first = MatchStats()
-        first.record_computation("f1")
-        first.phase_seconds = {"execute": 1.0}
-        second = MatchStats()
-        second.record_computation("f2")
-        first.merge(second)
-        assert first.feature_computations == 1
-        assert second.computations_by_feature == {"f2": 1}
-        assert second.phase_seconds == {}
-
-    def test_merge_is_associative_on_counters(self):
-        parts = []
-        for index in range(3):
-            stats = MatchStats()
-            stats.record_computation(f"f{index}")
-            stats.elapsed_seconds = 0.1 * (index + 1)
-            parts.append(stats)
-        left = parts[0].merge(parts[1]).merge(parts[2])
-        right = parts[0].merge(parts[1].merge(parts[2]))
-        assert left.feature_computations == right.feature_computations
-        assert left.computations_by_feature == right.computations_by_feature
-        assert left.elapsed_seconds == pytest.approx(right.elapsed_seconds)
-
-
-class TestWorkerTiming:
-    def test_summary_mentions_pid(self):
-        timing = WorkerTiming(chunk_id=3, worker_pid=42, pairs=10, elapsed_seconds=0.01)
-        assert "pid 42" in timing.summary()
-        assert "chunk 3" in timing.summary()
-
-    def test_summary_flags_fallback_and_retries(self):
-        timing = WorkerTiming(
-            chunk_id=0, worker_pid=42, pairs=10, elapsed_seconds=0.01,
-            attempts=3, fallback=True,
-        )
-        text = timing.summary()
-        assert "parent" in text
-        assert "3 attempts" in text

@@ -4,8 +4,8 @@ The load-bearing property: after any sequence of ``ingest`` calls, the
 wrapped session's labels, attribution, and memo contents are identical —
 at the pair-id level — to blocking and matching the post-delta tables
 from scratch.  That equivalence is checked across every dataset
-generator, across every registry blocker, on both the serial and the
-parallel re-match path, and across a rule edit applied after a batch.
+generator, across every registry blocker, and across a rule edit applied
+after a batch.
 """
 
 import numpy as np
@@ -443,14 +443,14 @@ class TestBatchAtomicity:
         )
         a_id = streaming.table_a[0].record_id
         old_title = streaming.table_a.get(a_id).get("title")
-        rematch = streaming._rematch_serial
+        rematch = streaming._rematch
 
         def exploding(state, affected, stats):
             # Do the work first, so the token cache holds post-delta sets.
             rematch(state, affected, stats)
             raise RuntimeError("re-match exploded")
 
-        streaming._rematch_serial = exploding
+        streaming._rematch = exploding
         try:
             with pytest.raises(RuntimeError, match="re-match exploded"):
                 streaming.ingest(DeltaBatch([
@@ -462,7 +462,7 @@ class TestBatchAtomicity:
                     Delta.delete("b", streaming.table_b[1].record_id),
                 ]))
         finally:
-            del streaming._rematch_serial
+            del streaming._rematch
         assert (
             streaming.table_a.snapshot(), streaming.table_b.snapshot()
         ) == tables_before
@@ -489,7 +489,6 @@ class TestBatchResult:
         assert result.stats.pairs_lost == len(result.lost)
         assert result.affected == len(result.affected_indices)
         assert "deltas=1" in result.summary()
-        assert result.summary().endswith("[serial]")
 
     def test_pairs_matched_counts_only_this_batch(self, streaming):
         total_before = streaming.state.match_count()
@@ -524,68 +523,6 @@ class TestBatchResult:
         total = streaming.total_batch_stats()
         assert total.deltas_applied == 2
         assert total.pairs_invalidated >= 2
-
-
-class TestParallelPath:
-    def test_forced_parallel_matches_serial(self, books_function):
-        streaming = _books_streaming(
-            books_function,
-            workers=2,
-            parallel_threshold_pairs=1,
-            parallel_threshold_seconds=0.0,
-        )
-        record_id = streaming.table_a[0].record_id
-        result = streaming.ingest(
-            Delta.update("a", record_id, author="parallel person")
-        )
-        assert result.executed_parallel
-        assert result.summary().endswith("[parallel]")
-        _assert_equivalent(streaming, lambda: default_blocker("books"))
-
-    def test_single_worker_never_parallelizes(self, streaming):
-        streaming.parallel_threshold_pairs = 0
-        streaming.parallel_threshold_seconds = 0.0
-        result = streaming.ingest(
-            Delta.update("a", streaming.table_a[0].record_id, author="x")
-        )
-        assert not result.executed_parallel
-
-    def test_total_batch_stats_keeps_parallel_accounting(self, books_function):
-        """Per-batch parallel accounting survives sequential totaling.
-
-        Each pool-executed batch carries phase clocks (and per-chunk
-        worker records when the affected set actually sharded); summing
-        the batch history must preserve them — phases add, timing records
-        concatenate — and work counters must stay additive with no
-        double-counting.
-        """
-        streaming = _books_streaming(
-            books_function,
-            workers=2,
-            parallel_threshold_pairs=1,
-            parallel_threshold_seconds=0.0,
-        )
-        first = streaming.ingest(
-            Delta.update("a", streaming.table_a[0].record_id, author="p1")
-        )
-        second = streaming.ingest(
-            Delta.update("a", streaming.table_a[1].record_id, author="p2")
-        )
-        assert first.executed_parallel and second.executed_parallel
-        total = streaming.total_batch_stats()
-        batches = (first.stats, second.stats)
-        assert len(total.worker_timings) == sum(
-            len(stats.worker_timings) for stats in batches
-        )
-        for phase in {key for stats in batches for key in stats.phase_seconds}:
-            assert total.phase_seconds[phase] == pytest.approx(
-                sum(stats.phase_seconds.get(phase, 0.0) for stats in batches)
-            )
-        assert total.pairs_matched == sum(s.pairs_matched for s in batches)
-        assert total.feature_computations == sum(
-            s.feature_computations for s in batches
-        )
-        assert total.pairs_evaluated == sum(s.pairs_evaluated for s in batches)
 
 
 class TestAdopt:

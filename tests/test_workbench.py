@@ -39,6 +39,14 @@ class TestLifecycle:
         with pytest.raises(WorkbenchError, match="unknown flag"):
             bench.execute("load products --wat 3")
 
+    def test_run_command_error_paths(self):
+        bench = Workbench()
+        bench.execute("load products --scale 0.2 --rules 10")
+        with pytest.raises(WorkbenchError, match="unknown flag '--workers'"):
+            bench.execute("run --workers 2")
+        with pytest.raises(WorkbenchError, match="unknown flag"):
+            bench.execute("run --wat 3")
+
     def test_help_lists_commands(self):
         text = Workbench().execute("help")
         for command in ("load", "run", "tighten", "suggest", "save"):
@@ -307,54 +315,6 @@ class TestLoadCsv:
         assert bench.session.state.match_count() >= 1
 
 
-class TestWorkersFlagParser:
-    """The shared --workers parser used by run and ingest."""
-
-    def test_absent_flag_defaults_to_one(self):
-        from repro.workbench import parse_workers_flag
-
-        workers, remaining = parse_workers_flag(["foo", "bar"])
-        assert workers == 1
-        assert remaining == ["foo", "bar"]
-
-    def test_extracts_flag_and_value(self):
-        from repro.workbench import parse_workers_flag
-
-        workers, remaining = parse_workers_flag(["x", "--workers", "4", "y"])
-        assert workers == 4
-        assert remaining == ["x", "y"]
-
-    def test_zero_workers_rejected(self):
-        from repro.workbench import parse_workers_flag
-
-        with pytest.raises(WorkbenchError, match="must be >= 1"):
-            parse_workers_flag(["--workers", "0"])
-
-    def test_missing_value_rejected(self):
-        from repro.workbench import parse_workers_flag
-
-        with pytest.raises(WorkbenchError, match="needs a value"):
-            parse_workers_flag(["--workers"])
-
-    def test_non_integer_rejected(self):
-        from repro.workbench import parse_workers_flag
-
-        with pytest.raises(WorkbenchError, match="needs an integer"):
-            parse_workers_flag(["--workers", "two"])
-
-    def test_run_command_error_paths(self):
-        bench = Workbench()
-        bench.execute("load products --scale 0.2 --rules 10")
-        with pytest.raises(WorkbenchError, match="must be >= 1"):
-            bench.execute("run --workers 0")
-        with pytest.raises(WorkbenchError, match="needs a value"):
-            bench.execute("run --workers")
-        with pytest.raises(WorkbenchError, match="needs an integer"):
-            bench.execute("run --workers two")
-        with pytest.raises(WorkbenchError, match="unknown flag"):
-            bench.execute("run --wat 3")
-
-
 class TestStreamingCommands:
     @pytest.fixture()
     def bench(self):
@@ -431,8 +391,8 @@ class TestStreamingCommands:
             bench.execute("ingest update a a0 title=x")
 
     def test_ingest_workers_flag_error(self, bench):
-        with pytest.raises(WorkbenchError, match="needs an integer"):
-            bench.execute("ingest update a a0 title=x --workers nope")
+        with pytest.raises(WorkbenchError, match="expected attr=value"):
+            bench.execute("ingest update a a0 title=x --workers 2")
 
 
 class TestServiceCommands:
@@ -495,11 +455,9 @@ class TestServiceCommands:
         with pytest.raises(WorkbenchError, match="not_found"):
             serving_bench.execute("remote info ghost")
 
-    def test_remote_create_reuses_workers_parser(self, serving_bench):
-        with pytest.raises(WorkbenchError, match="needs an integer"):
-            serving_bench.execute(
-                "remote create w products --workers nope"
-            )
+    def test_remote_create_rejects_workers_flag(self, serving_bench):
+        with pytest.raises(WorkbenchError, match="unknown flag '--workers'"):
+            serving_bench.execute("remote create w products --workers 2")
 
     def test_remote_connect_bad_target(self):
         bench = Workbench()
