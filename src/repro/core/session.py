@@ -146,6 +146,10 @@ class DebugSession:
         self.use_kernels = use_kernels
         self.use_bounds = use_bounds
         check_engine(engine, auto=True)
+        if memo_backend not in ("array", "hash"):
+            raise MatchingError(
+                f"memo_backend must be 'array' or 'hash', got {memo_backend!r}"
+            )
         self.engine = engine
         if use_kernels:
             from ..kernels import FeatureKernels

@@ -101,13 +101,10 @@ class _RawText(str):
     content_type = PROMETHEUS_CONTENT_TYPE
 
 
-class _RequestTooLarge(Exception):
-    """Declared Content-Length exceeds the cap; the body was never read,
-    so after answering with an error the connection must close."""
-
-    def __init__(self, length: int):
-        super().__init__(f"request body of {length} bytes")
-        self.length = length
+class _UnreadableBody(Exception):
+    """The declared Content-Length is not a length or exceeds the cap; the
+    body was never read, so after answering with an error the connection
+    must close."""
 
 
 class MatchingService:
@@ -244,15 +241,11 @@ class MatchingService:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _RequestTooLarge as too_large:
+                except _UnreadableBody as unreadable:
                     # Answer with a parseable error envelope instead of
-                    # silently closing; the oversized body is unread, so
-                    # the connection cannot be kept alive.
-                    error = ServiceError(
-                        "bad_request",
-                        f"request body of {too_large.length} bytes exceeds "
-                        f"the {MAX_BODY_BYTES}-byte limit",
-                    )
+                    # silently closing; the body is unread, so the
+                    # connection cannot be kept alive.
+                    error = ServiceError("bad_request", str(unreadable))
                     await self._write_response(
                         writer,
                         error.status,
@@ -296,9 +289,17 @@ class MatchingService:
             if ":" in line:
                 key, value = line.split(":", 1)
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _UnreadableBody(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise _RequestTooLarge(length)
+            raise _UnreadableBody(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

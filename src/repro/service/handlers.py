@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.analysis import describe_function
+from ..core.ordering import ORDERING_STRATEGIES
 from ..core.parser import format_function
 from ..core.persistence import stats_to_dict
 from ..observability import Observability, detect_drift
@@ -38,24 +40,35 @@ from .protocol import (
     default_blocker_spec,
     deltas_from_payload,
     explanation_to_payload,
+    number_field,
     pairs_to_payload,
+    positive_field,
     refine_config_from_payload,
     refinement_to_payload,
+    string_field,
     table_from_payload,
 )
-from .registry import SessionRegistry
+from .registry import SessionRegistry, validate_session_name
 
 
-def _coerce(kind, value, field: str):
-    """``kind(value)`` for a numeric request field (``int`` or ``float``);
-    a value it rejects is the caller's fault, so it is a ``bad_request``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as error:
-        noun = "an integer" if kind is int else "a number"
+def _object(payload, what: str = "body") -> dict:
+    if not isinstance(payload, dict):
+        raise ServiceError("bad_request", f"{what} must be a JSON object")
+    return payload
+
+
+def _gold_pairs(gold) -> set:
+    """``[[a_id, b_id], ...]`` → a set of pair ids."""
+    if not isinstance(gold, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(record_id, str) for record_id in pair)
+        for pair in gold
+    ):
         raise ServiceError(
-            "bad_request", f"{field!r} must be {noun}, got {value!r}"
-        ) from error
+            "bad_request", "'gold' must be a list of [a_id, b_id] string pairs"
+        )
+    return {tuple(pair) for pair in gold}
 
 
 class ServiceHandlers:
@@ -190,24 +203,32 @@ class ServiceHandlers:
         and ``drift_every`` (int N: re-run drift detection every N ingests
         and derive refinement warm-start hints; implies ``profile``).
         """
-        if not isinstance(payload, dict):
-            raise ServiceError("bad_request", "body must be a JSON object")
-        name = payload.get("name")
-        if not name:
-            raise ServiceError("bad_request", "a session 'name' is required")
-
-        session_kwargs = {
-            key: payload[key]
-            for key in ("ordering", "memo_backend", "use_kernels", "use_bounds")
-            if key in payload
-        }
+        _object(payload)
+        name = validate_session_name(
+            string_field(payload.get("name"), "a session 'name'")
+        )
+        session_kwargs = {}
+        for key in ("use_kernels", "use_bounds"):
+            if key in payload:
+                if not isinstance(payload[key], bool):
+                    raise ServiceError(
+                        "bad_request", f"{key!r} must be a boolean"
+                    )
+                session_kwargs[key] = payload[key]
+        if "ordering" in payload:
+            ordering = payload["ordering"]
+            if not isinstance(ordering, str) or ordering not in ORDERING_STRATEGIES:
+                raise ServiceError(
+                    "bad_request",
+                    f"'ordering' must be one of {sorted(ORDERING_STRATEGIES)}, "
+                    f"got {ordering!r}",
+                )
+            session_kwargs["ordering"] = ordering
+        if "memo_backend" in payload:
+            session_kwargs["memo_backend"] = payload["memo_backend"]
         drift_every = payload.get("drift_every")
         if drift_every is not None:
-            drift_every = _coerce(int, drift_every, "drift_every")
-            if drift_every < 1:
-                raise ServiceError(
-                    "bad_request", "'drift_every' must be a positive integer"
-                )
+            drift_every = positive_field(drift_every, "'drift_every'", int)
         if payload.get("observability", True):
             observability = Observability(
                 enabled=True,
@@ -222,8 +243,9 @@ class ServiceHandlers:
                 "'drift_every' requires observability to be enabled",
             )
 
+        space = dataset = None
         if "dataset" in payload:
-            streaming, blocker_spec = self._from_dataset(
+            streaming, blocker_spec, space, dataset = self._from_dataset(
                 payload["dataset"], session_kwargs
             )
         elif "table_a" in payload and "table_b" in payload:
@@ -235,7 +257,10 @@ class ServiceHandlers:
             )
 
         result = streaming.run()
-        managed = self.registry.add(name, streaming, blocker_spec=blocker_spec)
+        managed = self.registry.add(
+            name, streaming, blocker_spec=blocker_spec, space=space,
+            dataset=dataset,
+        )
         return {
             "session": managed.describe(),
             "initial_run": {
@@ -247,18 +272,23 @@ class ServiceHandlers:
     def _from_dataset(self, spec, session_kwargs):
         from ..learning.workload import build_workload
 
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise ServiceError(
-                "bad_request", "dataset spec needs at least {'name': ...}"
-            )
-        blocker_spec = spec.get("blocker") or default_blocker_spec(spec["name"])
+        _object(spec, "the dataset spec")
+        dataset = {
+            "name": string_field(spec.get("name"), "the dataset 'name'"),
+            "seed": number_field(spec.get("seed", 7), "'seed'", int),
+            "scale": positive_field(spec.get("scale", 1.0), "'scale'"),
+        }
+        max_rules = positive_field(spec.get("max_rules", 255), "'max_rules'", int)
+        blocker_spec = spec.get("blocker") or default_blocker_spec(
+            dataset["name"]
+        )
         blocker = build_blocker(blocker_spec)
         workload = build_workload(
-            dataset_name=spec["name"],
-            seed=_coerce(int, spec.get("seed", 7), "seed"),
-            scale=_coerce(float, spec.get("scale", 1.0), "scale"),
+            dataset_name=dataset["name"],
+            seed=dataset["seed"],
+            scale=dataset["scale"],
             blocker=blocker,
-            max_rules=spec.get("max_rules", 255),
+            max_rules=max_rules,
         )
         streaming = StreamingSession(
             workload.dataset.table_a,
@@ -268,23 +298,21 @@ class ServiceHandlers:
             gold=workload.gold,
             **session_kwargs,
         )
-        return streaming, blocker_spec
+        return streaming, blocker_spec, workload.space, dataset
 
     def _from_tables(self, payload, session_kwargs):
         from ..core.parser import parse_function
 
-        rules = payload.get("rules")
-        if not rules:
-            raise ServiceError(
-                "bad_request", "'rules' (matching-function DSL) is required"
-            )
+        rules = string_field(
+            payload.get("rules"), "'rules' (matching-function DSL)"
+        )
         blocker_spec = payload.get("blocker")
         blocker = build_blocker(blocker_spec)
         table_a = table_from_payload(payload["table_a"], "A")
         table_b = table_from_payload(payload["table_b"], "B")
         gold = None
         if payload.get("gold") is not None:
-            gold = {tuple(pair) for pair in payload["gold"]}
+            gold = _gold_pairs(payload["gold"])
         function = parse_function(rules, self.resolver)
         streaming = StreamingSession(
             table_a,
@@ -304,12 +332,13 @@ class ServiceHandlers:
             info["function"] = format_function(streaming.function)
             info["has_gold"] = streaming.session.gold is not None
             info["edits_applied"] = len(streaming.session.history)
+            info["structure"] = describe_function(streaming.function)
             return info
 
         return managed.read(_info)
 
     def close_session(self, name: str, payload: Optional[dict] = None) -> dict:
-        payload = payload or {}
+        payload = _object(payload if payload is not None else {})
         return self.registry.close(
             name,
             checkpoint=bool(payload.get("checkpoint", True)),
@@ -346,8 +375,8 @@ class ServiceHandlers:
         }
 
     def edit_rule(self, name: str, payload: dict) -> dict:
-        change = change_from_payload(payload, self.resolver)
         managed = self.registry.get(name)
+        change = change_from_payload(payload, managed.resolver(self.resolver))
 
         def _apply(streaming: StreamingSession):
             return streaming.apply(change)
@@ -373,18 +402,34 @@ class ServiceHandlers:
         field (``budget``, ``beam_width``, ``max_depth``, ``seed``,
         ``focus_rules``, ...) plus ``apply`` — ``"best"`` or a frontier
         index — to apply that frontier entry's edit sequence before
-        returning, and ``warm_start`` (bool) — adopt the session drift
+        returning, ``warm_start`` (bool) — adopt the session drift
         monitor's current refine hints (e.g. ``focus_rules``) for any
-        field the payload didn't set explicitly.
+        field the payload didn't set explicitly — and ``feature_space``
+        (bool) — widen the search with the features of the session's
+        generated dataset (sessions created from tables have none).
         """
-        payload = payload or {}
-        if not isinstance(payload, dict):
-            raise ServiceError("bad_request", "body must be a JSON object")
+        payload = _object(payload if payload is not None else {})
         config = refine_config_from_payload(payload)
+        apply_choice = payload.get("apply", None)
+        if apply_choice not in (None, False, "best") and (
+            isinstance(apply_choice, bool) or not isinstance(apply_choice, int)
+        ):
+            raise ServiceError(
+                "bad_request", "'apply' must be \"best\" or a frontier index"
+            )
+        managed = self.registry.get(name)
+        space = None
+        if payload.get("feature_space"):
+            space = managed.space
+            if space is None:
+                raise ServiceError(
+                    "bad_request",
+                    f"session {name!r} has no feature space (it was created "
+                    f"from tables, not a dataset)",
+                )
         warm_hints = {}
         if payload.get("warm_start"):
-            managed_for_hints = self.registry.get(name)
-            observability = managed_for_hints.streaming.observability
+            observability = managed.streaming.observability
             monitor = (
                 observability.drift_monitor if observability is not None else None
             )
@@ -398,17 +443,9 @@ class ServiceHandlers:
                 from dataclasses import replace as dataclass_replace
 
                 config = dataclass_replace(config, **warm_hints)
-        apply_choice = payload.get("apply", None)
-        if apply_choice not in (None, False, "best") and not isinstance(
-            apply_choice, int
-        ):
-            raise ServiceError(
-                "bad_request", "'apply' must be \"best\" or a frontier index"
-            )
-        managed = self.registry.get(name)
 
         def _refine(streaming: StreamingSession):
-            report = streaming.refine(config=config)
+            report = streaming.refine(config=config, feature_space=space)
             applied_payload = None
             if apply_choice is not None and apply_choice is not False:
                 if apply_choice == "best":
@@ -448,12 +485,17 @@ class ServiceHandlers:
 
     def explain(self, name: str, payload: dict) -> dict:
         # Exclusive lock: explanation back-fills the memo (see module doc).
-        if not isinstance(payload, dict) or "a_id" not in payload or "b_id" not in payload:
-            raise ServiceError("bad_request", "body must be {'a_id', 'b_id'}")
+        _object(payload)
+        a_id = string_field(payload.get("a_id"), "'a_id'")
+        b_id = string_field(payload.get("b_id"), "'b_id'")
         managed = self.registry.get(name)
 
         def _explain(streaming: StreamingSession):
-            return streaming.explain(payload["a_id"], payload["b_id"])
+            if (a_id, b_id) not in streaming.candidates:
+                raise ServiceError(
+                    "not_found", f"({a_id}, {b_id}) is not a candidate pair"
+                )
+            return streaming.explain(a_id, b_id)
 
         return explanation_to_payload(managed.write(_explain))
 
@@ -535,7 +577,10 @@ class ServiceHandlers:
         limit: Optional[int] = None,
         request_id: Optional[str] = None,
     ) -> dict:
-        """Span log; ``request_id`` narrows to one request's span tree."""
+        """Span log; ``request_id`` narrows to one request's span tree and
+        ``limit`` (a positive integer) keeps only the latest spans."""
+        if limit is not None:
+            limit = positive_field(limit, "'limit'", int)
         managed = self.registry.get(name)
 
         def _trace(streaming: StreamingSession) -> dict:

@@ -24,6 +24,7 @@ server rebuilds each session's blocker before adopting its state.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 import uuid
@@ -148,6 +149,10 @@ def build_blocker(spec: Optional[dict]) -> Blocker:
     """
     if not spec:
         raise ServiceError("bad_request", "a blocker spec is required")
+    if not isinstance(spec, dict):
+        raise ServiceError(
+            "bad_request", f"a blocker spec must be an object, got {spec!r}"
+        )
     kind = spec.get("kind")
     try:
         if kind == "overlap":
@@ -174,7 +179,7 @@ def build_blocker(spec: Optional[dict]) -> Blocker:
             return factory(spec["attribute"])
     except ServiceError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ServiceError(
             "bad_request", f"malformed blocker spec {spec!r}: {error}"
         ) from error
@@ -203,21 +208,95 @@ def default_blocker_spec(dataset_name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def string_field(value, what: str) -> str:
+    """``value`` if it is a non-empty string, else a ``bad_request``."""
+    if not isinstance(value, str) or not value:
+        raise ServiceError(
+            "bad_request", f"{what} must be a non-empty string, got {value!r}"
+        )
+    return value
+
+
+def number_field(value, what: str, kind=float):
+    """``kind(value)`` (``int`` or ``float``) for a numeric request field;
+    a value it rejects, a bool, or a number that is not finite is a
+    ``bad_request``."""
+    noun = "an integer" if kind is int else "a number"
+    try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError(value)
+        coerced = kind(value)
+        if not math.isfinite(coerced):
+            raise ValueError(value)
+        return coerced
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ServiceError(
+            "bad_request", f"{what} must be {noun}, got {value!r}"
+        ) from error
+
+
+def positive_field(value, what: str, kind=float):
+    """:func:`number_field`, which must also be above zero."""
+    number = number_field(value, what, kind)
+    if number <= 0:
+        raise ServiceError("bad_request", f"{what} must be positive, got {value!r}")
+    return number
+
+
+def _record_values(values, what: str) -> dict:
+    """A record's attribute mapping: string keys, scalar JSON values."""
+    if not isinstance(values, dict) or not all(
+        isinstance(key, str)
+        and (value is None or isinstance(value, (str, int, float)))
+        for key, value in values.items()
+    ):
+        raise ServiceError(
+            "bad_request",
+            f"{what} must be an object of attribute -> string, number or "
+            f"null, got {values!r}",
+        )
+    return values
+
+
+def table_to_payload(table: Table) -> dict:
+    """The :func:`table_from_payload` shape of ``table``."""
+    return {
+        "name": table.name,
+        "attributes": list(table.attributes),
+        "records": [
+            {"id": record.record_id, "values": record.as_dict()}
+            for record in table
+        ],
+    }
+
+
 def table_from_payload(payload: dict, default_name: str) -> Table:
     """``{"name"?, "attributes": [...], "records": [{"id", "values"}...]}``"""
-    try:
-        return Table(
-            payload.get("name", default_name),
-            payload["attributes"],
-            (
-                Record(row["id"], row.get("values", {}))
-                for row in payload.get("records", ())
-            ),
-        )
-    except (KeyError, TypeError) as error:
+    if not isinstance(payload, dict):
+        raise ServiceError("bad_request", "a table must be a JSON object")
+    attributes = payload.get("attributes")
+    records = payload.get("records", [])
+    if not isinstance(attributes, list) or not isinstance(records, list):
         raise ServiceError(
-            "bad_request", f"malformed table payload: {error}"
-        ) from error
+            "bad_request", "a table needs 'attributes' and 'records' arrays"
+        )
+    for attribute in attributes:
+        string_field(attribute, "a table attribute")
+    rows = []
+    for position, row in enumerate(records):
+        what = f"record #{position + 1}"
+        if not isinstance(row, dict):
+            raise ServiceError("bad_request", f"{what} must be a JSON object")
+        rows.append(
+            Record(
+                string_field(row.get("id"), f"{what}'s 'id'"),
+                _record_values(row.get("values", {}), f"{what}'s 'values'"),
+            )
+        )
+    name = string_field(payload.get("name", default_name), "a table name")
+    return Table(name, attributes, rows)
 
 
 def deltas_from_payload(payload) -> DeltaBatch:
@@ -226,19 +305,20 @@ def deltas_from_payload(payload) -> DeltaBatch:
         raise ServiceError("bad_request", "deltas must be a JSON array")
     deltas = []
     for position, entry in enumerate(payload):
-        try:
-            deltas.append(
-                Delta(
-                    entry["op"],
-                    entry["side"],
-                    entry["id"],
-                    entry.get("values"),
-                )
+        what = f"delta #{position + 1}"
+        if not isinstance(entry, dict):
+            raise ServiceError("bad_request", f"{what} must be a JSON object")
+        values = entry.get("values")
+        if values is not None:
+            _record_values(values, f"{what}'s 'values'")
+        deltas.append(
+            Delta(
+                string_field(entry.get("op"), f"{what}'s 'op'"),
+                string_field(entry.get("side"), f"{what}'s 'side'"),
+                string_field(entry.get("id"), f"{what}'s 'id'"),
+                values,
             )
-        except (KeyError, TypeError) as error:
-            raise ServiceError(
-                "bad_request", f"malformed delta #{position + 1}: {error}"
-            ) from error
+        )
     return DeltaBatch(deltas)
 
 
@@ -247,33 +327,25 @@ def change_from_payload(payload: dict, resolver=None) -> Change:
 
     Kinds: ``tighten``/``relax`` (rule, slot, threshold),
     ``drop_predicate`` (rule, slot), ``drop_rule`` (rule), ``add_rule``
-    (rule_dsl).
+    (rule_dsl, parsed through ``resolver``).
     """
     if not isinstance(payload, dict):
         raise ServiceError("bad_request", "edit must be a JSON object")
     kind = payload.get("kind")
-    try:
-        if kind == "tighten":
-            return TightenPredicate(
-                payload["rule"], payload["slot"], float(payload["threshold"])
-            )
-        if kind == "relax":
-            return RelaxPredicate(
-                payload["rule"], payload["slot"], float(payload["threshold"])
-            )
-        if kind == "drop_predicate":
-            return RemovePredicate(payload["rule"], payload["slot"])
-        if kind == "drop_rule":
-            return RemoveRule(payload["rule"])
-        if kind == "add_rule":
-            return AddRule(parse_rule(payload["rule_dsl"], resolver))
-    except ServiceError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise ServiceError(
-            "bad_request", f"malformed {kind!r} edit: {error}"
-        ) from error
-    raise ServiceError("bad_request", f"unknown edit kind {kind!r}")
+    if kind == "add_rule":
+        text = string_field(payload.get("rule_dsl"), "'rule_dsl'")
+        return AddRule(parse_rule(text, resolver))
+    if kind not in ("tighten", "relax", "drop_predicate", "drop_rule"):
+        raise ServiceError("bad_request", f"unknown edit kind {kind!r}")
+    rule = string_field(payload.get("rule"), "'rule'")
+    if kind == "drop_rule":
+        return RemoveRule(rule)
+    slot = string_field(payload.get("slot"), "'slot'")
+    if kind == "drop_predicate":
+        return RemovePredicate(rule, slot)
+    change_class = TightenPredicate if kind == "tighten" else RelaxPredicate
+    threshold = number_field(payload.get("threshold"), "'threshold'")
+    return change_class(rule, slot, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +429,10 @@ def refine_config_from_payload(payload: Optional[dict]):
         if key in payload:
             try:
                 kwargs[key] = coerce(payload[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ServiceError(
                     "bad_request", f"bad refine option {key!r}: {exc}"
-                )
+                ) from exc
     return RefineConfig(**kwargs)
 
 

@@ -25,7 +25,11 @@ checkpoint directory per session::
 Only :mod:`repro.core.persistence` knows what is inside.  ``restore_all``
 walks the root at startup, opens each session's verified generation,
 and rebuilds its blocker from the spec stored there — this is how a
-restarted server resumes exactly where it stopped.
+restarted server resumes exactly where it stopped.  A session built from
+a generated dataset also records the dataset spec; its restore rebuilds
+the dataset's :class:`~repro.learning.FeatureSpace` (no forest is
+trained), so the DSL resolves to the same corpus-bound features the
+session was created with.
 """
 
 from __future__ import annotations
@@ -87,10 +91,16 @@ class ManagedSession:
         streaming: StreamingSession,
         blocker_spec: Optional[dict] = None,
         max_pending: int = DEFAULT_MAX_PENDING,
+        space=None,
+        dataset: Optional[dict] = None,
     ):
         self.name = name
         self.streaming = streaming
         self.blocker_spec = blocker_spec
+        #: the generated dataset's FeatureSpace and its spec (name, seed,
+        #: scale); None for a session created from explicit tables.
+        self.space = space
+        self.dataset = dataset
         self.lock = ReadWriteLock()
         self.max_pending = max_pending
         self.created_at = time.time()
@@ -129,6 +139,11 @@ class ManagedSession:
         with self._pending_mutex:
             return self._pending
 
+    def resolver(self, default=None):
+        """The feature resolver for this session's rule DSL: its feature
+        space's (corpus-bound instances) if it has one, else ``default``."""
+        return self.space.resolver() if self.space is not None else default
+
     # -- guarded access ------------------------------------------------
 
     def read(self, fn: Callable[[StreamingSession], object], timeout=None):
@@ -157,6 +172,7 @@ class ManagedSession:
             "batches_ingested": streaming.batches_ingested,
             "rules": [rule.name for rule in streaming.function.rules],
             "blocker_spec": self.blocker_spec,
+            "dataset": self.dataset,
         }
 
 
@@ -194,11 +210,13 @@ class SessionRegistry:
         name: str,
         streaming: StreamingSession,
         blocker_spec: Optional[dict] = None,
+        space=None,
+        dataset: Optional[dict] = None,
     ) -> ManagedSession:
         validate_session_name(name)
         managed = ManagedSession(
             name, streaming, blocker_spec=blocker_spec,
-            max_pending=self.max_pending,
+            max_pending=self.max_pending, space=space, dataset=dataset,
         )
         with self._mutex:
             if name in self._sessions:
@@ -289,24 +307,29 @@ class SessionRegistry:
             )
         return directory
 
-    def checkpoint(self, name: str) -> Optional[str]:
+    def checkpoint(
+        self, name: str, directory: Optional[str | Path] = None
+    ) -> Optional[str]:
         """Durably save one session (under its reader lock).
 
         A reader lock suffices: checkpointing only reads state, and the
         writer-preference of the lock keeps a pending ingest from being
-        starved by it.  Returns the directory written, or ``None`` when
-        the registry is not durable.
+        starved by it.  ``directory`` defaults to the session's own
+        directory under the checkpoint root; only a save there clears the
+        session's dirty flag.  Returns the directory written, or ``None``
+        when no ``directory`` is given and the registry is not durable.
         """
-        if self.checkpoint_root is None:
+        if directory is None and self.checkpoint_root is None:
             return None
         managed = self.get(name)
-        directory = self.session_dir(name)
+        own = directory is None
+        target = self.session_dir(name) if own else Path(directory)
 
         def _save(streaming: StreamingSession):
             observability = streaming.observability
             saved = save_session(
                 streaming,
-                directory,
+                target,
                 blocker_spec=managed.blocker_spec,
                 # Observability objects are not serialized (telemetry is
                 # flushed separately as JSON lines); record only the
@@ -323,6 +346,8 @@ class SessionRegistry:
                         is not None
                         else None
                     ),
+                    # the spec the restore rebuilds the feature space from
+                    "dataset": managed.dataset,
                 },
             )
             # Clear the dirty flag while the read lock is still held:
@@ -330,7 +355,8 @@ class SessionRegistry:
             # the save and the clear and have its dirt wiped (which
             # would make checkpoint_all(dirty_only=True) skip it and
             # lose the write on restart).
-            managed.dirty = False
+            if own:
+                managed.dirty = False
             return saved
 
         with managed.save_mutex:
@@ -356,9 +382,7 @@ class SessionRegistry:
     def restore_all(self, resolver=None) -> List[str]:
         """Re-hydrate every checkpointed session found on disk.
 
-        Each checkpoint stores the blocker *spec*; the blocker itself is
-        rebuilt via :func:`~repro.service.protocol.build_blocker` before
-        :func:`~repro.core.persistence.load_session` adopts the state.
+        Each entry goes through :meth:`restore` under its directory name.
         Restored sessions start clean (not dirty) — nothing changed since
         their checkpoint was written.
 
@@ -379,7 +403,7 @@ class SessionRegistry:
             if not has_checkpoint(entry):
                 continue
             try:
-                restored.append(self._restore_one(entry, resolver))
+                restored.append(self.restore(entry, entry.name, resolver).name)
             except Exception as error:  # noqa: BLE001 — isolate bad entries
                 logger.warning(
                     "skipping unrestorable checkpoint %s: %s", entry, error
@@ -389,14 +413,31 @@ class SessionRegistry:
                 )
         return restored
 
-    def _restore_one(self, entry: Path, resolver) -> str:
-        checkpoint = open_checkpoint(entry)
+    def restore(
+        self, directory: str | Path, name: str, resolver=None
+    ) -> ManagedSession:
+        """Restore one session checkpoint and host it under ``name``.
+
+        The blocker is rebuilt from the spec stored in the checkpoint
+        (:func:`~repro.service.protocol.build_blocker`), and so is the
+        feature space of a session created from a generated dataset;
+        DSL of any other session resolves through ``resolver``.
+        """
+        from ..data.datasets import load_dataset
+        from ..learning.feature_space import FeatureSpace
+
+        checkpoint = open_checkpoint(directory)
         meta = checkpoint.session
         if meta is None:
-            raise StateError(f"{entry} holds a saved state, not a session")
+            raise StateError(f"{directory} holds a saved state, not a session")
         blocker = build_blocker(meta.get("blocker_spec"))
-        streaming = load_session(checkpoint, blocker, resolver=resolver)
         extra = meta.get("extra") or {}
+        dataset = extra.get("dataset")
+        space = None
+        if dataset is not None:
+            space = FeatureSpace.build(load_dataset(**dataset))
+            resolver = space.resolver()
+        streaming = load_session(checkpoint, blocker, resolver=resolver)
         if extra.get("observability"):
             from ..observability import Observability
 
@@ -409,15 +450,16 @@ class SessionRegistry:
                 )
             streaming.session.observability = observability
         managed = self.add(
-            entry.name, streaming, blocker_spec=meta.get("blocker_spec")
+            name, streaming, blocker_spec=meta.get("blocker_spec"),
+            space=space, dataset=dataset,
         )
         managed.dirty = False
         if checkpoint.fallback is not None:
             self.restore_fallbacks.append(
                 {
-                    "name": entry.name,
+                    "name": name,
                     "generation": checkpoint.generation,
                     "error": checkpoint.fallback,
                 }
             )
-        return entry.name
+        return managed

@@ -1,107 +1,293 @@
 """Interactive command-line workbench — the Figure 1 loop at a prompt.
 
 ``python -m repro.workbench`` starts a small REPL where an analyst can
-load a dataset, run matching, inspect quality and individual pairs, apply
-rule edits (incrementally), ask for suggested edits, and save/restore the
-session state:
+load a dataset (which runs the initial match), inspect quality and
+individual pairs, apply rule edits (incrementally), ask for suggested
+edits, and save/restore the session:
 
 .. code-block:: text
 
     repro> load products --scale 0.4
-    repro> run
     repro> metrics
     repro> suggest tighten
     repro> apply 1
     repro> explain a3 b17
     repro> save /tmp/session1
 
-The engine is :class:`Workbench`, a plain object mapping command strings
-to actions — fully testable without a TTY (``tests/test_workbench.py``).
+One command surface serves both front ends of the loop.  The workbench
+hosts its session in an in-process
+:class:`~repro.service.SessionRegistry` behind
+:class:`~repro.service.ServiceHandlers`.  Each verb the two share
+(``load``, ``ingest``, the rule edits, ``explain``, ``refine``,
+``metrics``, ``trace``, ``stats``) is one argument grammar that builds
+the service payload plus one renderer of the reply; ``remote <verb>
+<session> [args]`` sends the same payload to a server through
+:class:`~repro.service.ServiceClient`.  The local-only commands read the
+hosted session under its lock.  :class:`Workbench` maps command strings
+to output text, so it is testable without a TTY.
 """
 
 from __future__ import annotations
 
+import json
 import shlex
 import sys
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from .core.changes import (
-    AddRule,
-    Change,
-    RelaxPredicate,
-    RemovePredicate,
-    RemoveRule,
-    TightenPredicate,
-)
-from .core.parser import format_rule, parse_rule
-from .core.persistence import load_state, save_state
-from .core.session import DebugSession
+from .core.parser import format_rule
+from .core.persistence import stats_from_dict
 from .errors import ReproError
-from .observability import DEFAULT_SAMPLE_EVERY, Observability, detect_drift
-from .evaluation.suggest import Suggestion, suggest_relaxations, suggest_tightenings
-from .learning import build_workload
+from .evaluation.suggest import suggest_relaxations, suggest_tightenings
+from .observability import DEFAULT_SAMPLE_EVERY, detect_drift
+from .observability.export import histogram_quantile, parse_prometheus
+from .observability.spans import SpanLog, SpanRecord
+from .service import (
+    ManagedSession,
+    ServiceClient,
+    ServiceClientError,
+    ServiceHandlers,
+    SessionRegistry,
+)
+from .service.protocol import table_to_payload
 
 
 class WorkbenchError(ReproError):
     """User-facing command error (bad syntax, wrong session phase)."""
 
 
+NO_SESSION = "no active run; load a dataset first ('load' or 'load-csv')"
+
+#: handler operation -> (HTTP method, route under ``/sessions/{name}``).
+_ROUTES = {
+    "create_session": ("POST", None),
+    "session_info": ("GET", ""),
+    "close_session": ("DELETE", ""),
+    "ingest": ("POST", "/ingest"),
+    "edit_rule": ("POST", "/edit"),
+    "explain": ("POST", "/explain"),
+    "refine": ("POST", "/refine"),
+    "matches": ("GET", "/matches"),
+    "metrics": ("GET", "/metrics"),
+    "trace": ("GET", "/trace"),
+}
+
+#: the rule-edit verbs' positional arguments, in payload-field order.
+_EDIT_FIELDS = {
+    "tighten": ("rule", "slot", "threshold"),
+    "relax": ("rule", "slot", "threshold"),
+    "drop_predicate": ("rule", "slot"),
+    "drop_rule": ("rule",),
+    "add_rule": ("rule_dsl",),
+}
+
+Send = Callable[..., dict]
+
+
+def _parse_flags(arguments: List[str], grammar: dict, usage: str) -> dict:
+    """``--flag value`` arguments -> ``{key: value}``.  ``grammar`` maps a
+    flag to ``(key, convert)``; ``convert=None`` marks a switch."""
+    options = {}
+    iterator = iter(arguments)
+    for flag in iterator:
+        if flag not in grammar:
+            raise WorkbenchError(f"unknown flag {flag!r}; usage: {usage}")
+        key, convert = grammar[flag]
+        try:
+            options[key] = True if convert is None else convert(next(iterator))
+        except StopIteration:
+            raise WorkbenchError(f"flag {flag!r} needs a value") from None
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise WorkbenchError(f"{flag} needs {noun}") from None
+    return options
+
+
+def _over_http(call, *args):
+    """``call(*args)`` against a server, its failures as WorkbenchErrors."""
+    try:
+        return call(*args)
+    except ServiceClientError as error:
+        raise WorkbenchError(f"server error [{error.code}]: {error}") from error
+    except (ConnectionError, OSError) as error:
+        raise WorkbenchError(f"connection failed: {error}") from error
+
+
+# ---------------------------------------------------------------------------
+# Renderers: one per reply shape, shared by both modes
+# ---------------------------------------------------------------------------
+
+
+def _render_created(reply: dict) -> str:
+    session, dataset = reply["session"], reply["session"]["dataset"]
+    source = (
+        f"{dataset['name']} (scale {dataset['scale']:g}, seed {dataset['seed']})"
+        if dataset else "tables"
+    )
+    return (
+        f"loaded {source}: {session['candidates']} candidate pairs, "
+        f"rules={len(session['rules'])}, "
+        f"matched={reply['initial_run']['match_count']}"
+    )
+
+
+def _render_confusion(confusion: dict) -> str:
+    return (
+        f"P={confusion['precision']:.3f} R={confusion['recall']:.3f} "
+        f"F1={confusion['f1']:.3f} (tp={confusion['true_positives']} "
+        f"fp={confusion['false_positives']} fn={confusion['false_negatives']})"
+    )
+
+
+def _render_edit(reply: dict) -> str:
+    stats = reply["stats"]
+    return (
+        f"{reply['change']}: affected={reply['affected_pairs']} "
+        f"+{reply['newly_matched']}/-{reply['newly_unmatched']} matches, "
+        f"{stats['elapsed_seconds'] * 1000:.2f}ms "
+        f"(computed={stats['feature_computations']}, hits={stats['memo_hits']})"
+    )
+
+
+def _render_explanation(reply: dict) -> str:
+    verdict = "MATCH" if reply["matched"] else "NO MATCH"
+    lines = [f"pair {tuple(reply['pair'])}: {verdict}"]
+    for rule in reply["rules"]:
+        lines.append(f"  [{'+' if rule['matched'] else '-'}] {rule['rule']}")
+        lines.extend(
+            f"        {'ok ' if predicate['passed'] else 'FAIL'} {predicate['pid']}"
+            f"  (value={predicate['value']:.4f})"
+            for predicate in rule["predicates"]
+        )
+    return "\n".join(lines)
+
+
+def _render_point(point: dict) -> str:
+    """One baseline/frontier entry of a refinement report."""
+    return (
+        f"P={point['precision']:.3f} R={point['recall']:.3f} "
+        f"F1={point['f1']:.3f} cost={point['expected_cost'] * 1e6:.2f}us/pair"
+        f"  [{'; '.join(point['edits']) or '(no edits)'}]"
+    )
+
+
+def _render_refinement(report: dict) -> str:
+    lines = [
+        f"baseline: {_render_point(report['baseline'])}",
+        f"scored {report['candidates_scored']} candidate(s) in "
+        f"{report['rounds']} round(s) ({report['incremental_evals']} "
+        f"incremental evals, {report['full_rematches']} full re-matches)",
+    ]
+    for index, point in enumerate(report["frontier"]):
+        marker = "*" if index == report["best_index"] else " "
+        lines.append(f"{index + 1}.{marker} {_render_point(point)}")
+    lines.append("apply one with: refine apply <n>")
+    return "\n".join(lines)
+
+
+def _render_metric(name: str, data: dict) -> str:
+    if data["type"] != "histogram":
+        return f"  {name}: {data['value']:g}"
+    mean = data["total"] / data["count"] if data["count"] else 0.0
+    return (
+        f"  {name}: n={data['count']} mean={mean:.6g} "
+        f"min={data['min']} max={data['max']}"
+    )
+
+
+def _render_top_frame(client: ServiceClient) -> str:
+    """One dashboard frame from ``/health`` and one ``/metrics`` scrape."""
+    health = client.health()
+    samples = parse_prometheus(client.scrape_metrics())["samples"]
+
+    def sample(name, **labels):
+        return samples.get((name, tuple(sorted(labels.items())))) or 0.0
+
+    lines = [
+        f"service: {health['status']}  sessions={health['sessions']}  "
+        f"durable={'yes' if health['durable'] else 'no'}  "
+        f"restore_failures={len(health['restore_failures'])}  "
+        f"restore_fallbacks={len(health['restore_fallbacks'])}"
+    ]
+    window = samples.get(("repro_http_window_seconds", ()))
+    if window is not None:
+        lines.append(
+            f"requests (last {window:g}s):  "
+            f"{sample('repro_http_requests'):g} total, "
+            f"{sample('repro_http_request_rate'):.2f}/s, "
+            f"{sample('repro_http_error_rate'):.1%} errors"
+        )
+        endpoints = {
+            dict(labels).get("endpoint")
+            for name, labels in samples
+            if name == "repro_http_requests" and labels
+        }
+        for endpoint in sorted(endpoints - {None}):
+            p50, p95 = (
+                histogram_quantile(
+                    samples, "repro_http_request_seconds", q,
+                    labels={"endpoint": endpoint},
+                ) or 0.0
+                for q in (0.5, 0.95)
+            )
+            lines.append(
+                f"  {endpoint}: "
+                f"n={sample('repro_http_requests', endpoint=endpoint):g} "
+                f"err={sample('repro_http_error_rate', endpoint=endpoint):.1%} "
+                f"p50={p50 * 1000:.1f}ms p95={p95 * 1000:.1f}ms"
+            )
+    for state in health.get("sessions_state", []):
+        lines.append(
+            f"  session {state['name']}: seq={state['seq']} "
+            f"pending={state['pending']}{' [dirty]' if state['dirty'] else ''}"
+        )
+    slo = health.get("slo")
+    for objective in slo["objectives"] if slo else ():
+        verdict = {None: "no data", True: "OK", False: "BREACH"}[objective["ok"]]
+        observed = objective["observed"]
+        lines.append(
+            f"  slo {objective['name']}: {verdict} ({objective['objective']}"
+            f"{f' observed={observed:.4g}' if observed is not None else ''})"
+        )
+    if slo and slo["alerts"]:
+        lines.append(
+            f"  alerts: {slo['alerts_total']} total, "
+            f"latest: {slo['alerts'][-1]['message']}"
+        )
+    return "\n".join(lines)
+
+
 class Workbench:
-    """Stateful command interpreter over one debugging session."""
+    """Stateful command interpreter over one hosted debugging session."""
 
     def __init__(self):
-        self.workload = None
-        self.session: Optional[DebugSession] = None
-        self.suggestions: List[Suggestion] = []
-        # last refinement report; 'refine apply <n>' indexes its frontier.
-        self.refinement = None
-        # live-table context for streaming ingestion; set by load/load-csv.
-        self.tables = None
-        self.blocker = None
-        self.streaming = None
-        # one Observability per loaded dataset; every run/ingest of the
-        # session writes into it (see 'trace', 'profile', 'drift').
-        self.observability: Optional[Observability] = None
-        # service-layer handles: an embedded server ('serve') and a
-        # client connection to any server ('remote').
+        # The hosted session lives in an in-process, non-durable registry
+        # behind the same handlers a server runs.
+        self.registry = SessionRegistry(checkpoint_root=None)
+        self.handlers = ServiceHandlers(self.registry)
+        self.session_name: Optional[str] = None
+        self._sessions_hosted = 0
+        self.suggestions = []
+        #: the last refine: its session, payload, and the edits of each
+        #: frontier entry it listed ('refine apply <n>' re-sends it).
+        self.refinement: Optional[dict] = None
+        # an embedded server ('serve') and a connection to one ('remote').
         self.service_thread = None
-        self.remote_client = None
-        self._commands: Dict[str, Callable[[List[str]], str]] = {
-            "help": self.cmd_help,
-            "load": self.cmd_load,
-            "load-csv": self.cmd_load_csv,
-            "rules": self.cmd_rules,
-            "plan": self.cmd_plan,
-            "run": self.cmd_run,
-            "ingest": self.cmd_ingest,
-            "delta-stats": self.cmd_delta_stats,
-            "metrics": self.cmd_metrics,
-            "explain": self.cmd_explain,
-            "tighten": self.cmd_tighten,
-            "relax": self.cmd_relax,
-            "drop-rule": self.cmd_drop_rule,
-            "drop-predicate": self.cmd_drop_predicate,
-            "add-rule": self.cmd_add_rule,
-            "suggest": self.cmd_suggest,
-            "apply": self.cmd_apply,
-            "refine": self.cmd_refine,
-            "history": self.cmd_history,
-            "memory": self.cmd_memory,
-            "cache": self.cmd_cache,
-            "stats": self.cmd_stats,
-            "trace": self.cmd_trace,
-            "profile": self.cmd_profile,
-            "drift": self.cmd_drift,
-            "simplify": self.cmd_simplify,
-            "lint": self.cmd_lint,
-            "report": self.cmd_report,
-            "save": self.cmd_save,
-            "restore": self.cmd_restore,
-            "serve": self.cmd_serve,
-            "remote": self.cmd_remote,
-            "top": self.cmd_top,
+        self.remote_client: Optional[ServiceClient] = None
+        #: shared verbs: run(send, arguments) -> output text.
+        self._shared: Dict[str, Callable[[Send, List[str]], str]] = {
+            name[5:].replace("_", "-"): getattr(self, name)
+            for name in dir(self) if name.startswith("verb_")
         }
+        for kind in _EDIT_FIELDS:
+            self._shared[kind.replace("_", "-")] = partial(self._edit, kind)
+        self._commands: Dict[str, Callable[[List[str]], str]] = {
+            name[4:].replace("_", "-"): getattr(self, name)
+            for name in dir(self) if name.startswith("cmd_")
+        }
+        for verb, run in self._shared.items():
+            self._commands[verb] = partial(run, self._local_send)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -115,351 +301,355 @@ class Workbench:
         command, *arguments = parts
         handler = self._commands.get(command)
         if handler is None:
-            raise WorkbenchError(
-                f"unknown command {command!r}; try 'help'"
-            )
+            raise WorkbenchError(f"unknown command {command!r}; try 'help'")
         return handler(arguments)
 
-    def _require_session(self) -> DebugSession:
-        if self.session is None or self.session.state is None:
-            raise WorkbenchError("no active run; use 'load <dataset>' then 'run'")
-        return self.session
+    @property
+    def hosted(self) -> ManagedSession:
+        """The in-process session the local commands act on."""
+        if self.session_name is None:
+            raise WorkbenchError(NO_SESSION)
+        return self.registry.get(self.session_name)
+
+    @property
+    def session(self):
+        """The hosted session's :class:`~repro.core.session.DebugSession`."""
+        return self.hosted.streaming.session
+
+    def _next_name(self) -> str:
+        self._sessions_hosted += 1
+        return f"local-{self._sessions_hosted}"
+
+    def _host(self, name: str) -> None:
+        """Make ``name`` the hosted session, closing the one it replaces."""
+        previous, self.session_name = self.session_name, name
+        if previous is not None:
+            self.registry.close(previous, checkpoint=False)
+        self.suggestions, self.refinement = [], None
+
+    def _local_send(self, op: str, payload: Optional[dict] = None) -> dict:
+        """A shared verb's request, run by the in-process handlers."""
+        if op == "create_session":
+            arguments = ({**payload, "name": self._next_name()},)
+        else:
+            name = self.hosted.name
+            arguments = (name,) if payload is None else (name, payload)
+        try:
+            reply = getattr(self.handlers, op)(*arguments)
+        except ReproError as error:
+            raise WorkbenchError(str(error)) from error
+        if op == "create_session":
+            self._host(arguments[0]["name"])
+        return reply
+
+    def _remote_send(self, session: str) -> Send:
+        """A shared verb's requests, sent to ``session`` on the server."""
+        client = self._require_remote()
+
+        def send(op: str, payload: Optional[dict] = None) -> dict:
+            method, route = _ROUTES[op]
+            if route is None:
+                path, payload = "/sessions", {**payload, "name": session}
+            else:
+                path = f"/sessions/{session}{route}"
+            return _over_http(client.request, method, path, payload)
+
+        return send
 
     # ------------------------------------------------------------------
-    # Commands
+    # Shared verbs: grammar -> payload -> handler -> renderer
     # ------------------------------------------------------------------
 
-    def cmd_help(self, arguments: List[str]) -> str:
-        return "\n".join(
-            [
-                "commands:",
-                "  load <dataset> [--scale S] [--rules N] [--seed K]",
-                "  load-csv <a.csv> <b.csv> --block <attr> --rules '<DSL>'",
-                "  run                          full matching run (orders rules first)",
-                "  rules                        list current rules",
-                "  plan                         compiled evaluation plan with",
-                "                               cost/selectivity annotations",
-                "  metrics                      P/R/F1 against gold",
-                "  explain <a_id> <b_id>        per-rule, per-predicate trace",
-                "  tighten <rule> <slot> <thr>  stricter threshold (Alg 7)",
-                "  relax <rule> <slot> <thr>    looser threshold (Alg 8)",
-                "  drop-predicate <rule> <slot> remove a predicate (Alg 8)",
-                "  drop-rule <rule>             remove a rule (Alg 9)",
-                "  add-rule <dsl text>          add a rule (Alg 10)",
-                "  ingest <op> <side> <id> [attr=value ...]",
-                "                               apply a record delta (op: insert|",
-                "                               update|delete; side: a|b) and re-",
-                "                               match only the affected pairs",
-                "  delta-stats                  per-batch streaming counters",
-                "  suggest [tighten|relax]      ranked edit proposals",
-                "  apply <n>                    apply the n-th suggestion",
-                "  refine [--budget N] [--beam W] [--depth D] [--seed K]",
-                "         [--space]             automated edit search ->",
-                "                               Pareto frontier (P, R, cost)",
-                "  refine apply <n>             apply the n-th frontier entry",
-                "  history                      applied edits with timings",
-                "  memory                       materialized-state bytes",
-                "  cache stats                  token-cache sizes, hit rates,",
-                "                               and bound-skip counts",
-                "  stats                        rule-set structure report",
-                "                               (+ metrics digest once run)",
-                "  trace [--json]               span tree of run/ingest timings",
-                "  profile [on|off] [--sample N]",
-                "                               sampled per-feature cost profile",
-                "  drift                        observed vs estimated costs;",
-                "                               flags stale rule ordering",
-                "  simplify                     list subsumed (redundant) rules",
-                "  lint                         static checks on the rule set",
-                "  report                       per-rule precision table",
-                "  save <dir> / restore <dir>   persist / reload the session state",
-                "  serve start [port] [ckpt-dir] | status | stop",
-                "                               run the matching service in-process",
-                "  remote connect <host:port>   point 'remote' at a server",
-                "  remote create <name> <dataset> [--scale S] [--seed K]",
-                "  remote sessions | info <name> | close <name>",
-                "  remote ingest <name> <op> <a|b> <id> [attr=value ...]",
-                "  remote tighten|relax <name> <rule> <slot> <thr>",
-                "  remote refine <name> [--budget N] [--apply best|<i>]",
-                "  remote metrics <name> | trace <name>",
-                "  top [--watch N] [--interval S]",
-                "                               live dashboard from /metrics +",
-                "                               /health (rates, p95s, SLOs)",
-            ]
-        )
-
-    def cmd_load(self, arguments: List[str]) -> str:
+    def verb_load(self, send: Send, arguments: List[str]) -> str:
+        usage = "load <dataset> [--scale S] [--rules N] [--seed K]"
         if not arguments:
-            raise WorkbenchError("usage: load <dataset> [--scale S] [--rules N] [--seed K]")
-        name = arguments[0]
-        scale, max_rules, seed = 0.5, 80, 7
-        iterator = iter(arguments[1:])
-        for flag in iterator:
-            try:
-                if flag == "--scale":
-                    scale = float(next(iterator))
-                elif flag == "--rules":
-                    max_rules = int(next(iterator))
-                elif flag == "--seed":
-                    seed = int(next(iterator))
-                else:
-                    raise WorkbenchError(f"unknown flag {flag!r}")
-            except StopIteration:
-                raise WorkbenchError(f"flag {flag!r} needs a value") from None
-        from .learning.workload import default_blocker
-
-        blocker = default_blocker(name)
-        self.workload = build_workload(
-            name, seed=seed, scale=scale, max_rules=max_rules, blocker=blocker
+            raise WorkbenchError(f"usage: {usage}")
+        spec = {"name": arguments[0], "scale": 0.5, "max_rules": 80, "seed": 7}
+        spec.update(_parse_flags(arguments[1:], {
+            "--scale": ("scale", float),
+            "--rules": ("max_rules", int),
+            "--seed": ("seed", int),
+        }, usage))
+        return _render_created(
+            send("create_session", {"dataset": spec, "ordering": "algorithm6"})
         )
-        self.observability = Observability()
-        self.session = DebugSession(
-            self.workload.candidates,
-            self.workload.function,
-            gold=self.workload.gold,
-            ordering="algorithm6",
-            observability=self.observability,
-        )
-        self.suggestions = []
-        self.refinement = None
-        self.tables = (self.workload.dataset.table_a, self.workload.dataset.table_b)
-        self.blocker = blocker
-        self.streaming = None
-        return f"loaded {self.workload.summary()}"
 
-    def cmd_load_csv(self, arguments: List[str]) -> str:
-        """Bring-your-own-data entry point.
-
-        ``load-csv A.csv B.csv --block title [--overlap 1] [--gold g.csv]
-        --rules 'R1: jaccard_ws(title, title) >= 0.7'``
-
-        Loads two CSV tables (id column ``id``), blocks on the given
-        attribute, and starts a session with the supplied DSL rules.
-        """
-        if len(arguments) < 2:
-            raise WorkbenchError(
-                "usage: load-csv <a.csv> <b.csv> --block <attr> "
-                "[--overlap N] [--gold gold.csv] --rules '<DSL>'"
-            )
-        from .blocking import OverlapBlocker
-        from .core.parser import parse_function
+    def verb_load_csv(self, send: Send, arguments: List[str]) -> str:
+        """Two CSV tables (id column ``id``), blocked on one attribute,
+        matched with the supplied DSL rules."""
         from .data import load_gold, load_table
 
-        path_a, path_b, *rest = arguments
-        block_attribute = None
-        overlap = 1
-        gold_path = None
-        rules_text = None
-        iterator = iter(rest)
-        for flag in iterator:
-            try:
-                if flag == "--block":
-                    block_attribute = next(iterator)
-                elif flag == "--overlap":
-                    overlap = int(next(iterator))
-                elif flag == "--gold":
-                    gold_path = next(iterator)
-                elif flag == "--rules":
-                    rules_text = next(iterator)
-                else:
-                    raise WorkbenchError(f"unknown flag {flag!r}")
-            except StopIteration:
-                raise WorkbenchError(f"flag {flag!r} needs a value") from None
-        if block_attribute is None or rules_text is None:
+        usage = (
+            "load-csv <a.csv> <b.csv> --block <attr> [--overlap N] "
+            "[--gold gold.csv] --rules '<DSL>'"
+        )
+        if len(arguments) < 2:
+            raise WorkbenchError(f"usage: {usage}")
+        options = _parse_flags(arguments[2:], {
+            "--block": ("attribute", str),
+            "--overlap": ("min_overlap", int),
+            "--gold": ("gold", str),
+            "--rules": ("rules", str),
+        }, usage)
+        if "attribute" not in options or "rules" not in options:
             raise WorkbenchError("--block and --rules are required")
-
-        table_a = load_table(path_a)
-        table_b = load_table(path_b)
-        blocker = OverlapBlocker(block_attribute, min_overlap=overlap)
-        candidates = blocker.block(table_a, table_b)
-        gold = load_gold(gold_path) if gold_path else None
-        self.workload = None  # no feature space; DSL resolves via registry
-        self.observability = Observability()
-        self.session = DebugSession(
-            candidates,
-            parse_function(rules_text),
-            gold=gold,
-            ordering="algorithm5",
-            observability=self.observability,
-        )
-        self.suggestions = []
-        self.refinement = None
-        self.tables = (table_a, table_b)
-        self.blocker = blocker
-        self.streaming = None
-        return (
-            f"loaded {table_a.name} ({len(table_a)}) x {table_b.name} "
-            f"({len(table_b)}): {len(candidates)} candidate pairs"
-            + (f", {len(gold)} gold labels" if gold else "")
-        )
-
-    def cmd_plan(self, arguments: List[str]) -> str:
-        """``plan`` — the compiled columnar evaluation plan of the current
-        function: ordered predicate steps with kernel support (and *why*
-        an unsupported step falls back — feature family, overridden
-        compare), bound eligibility, and cost-model annotations, plus the
-        cost model's engine decision and which engine the session would
-        pick for it."""
-        if arguments:
-            raise WorkbenchError("usage: plan")
-        if self.session is None:
-            raise WorkbenchError("load a dataset first")
-        session = self.session
-        plan = (
-            session.state.plan if session.state is not None
-            else session.compile_plan()
-        )
-        resolved = plan.engine_for(session.engine)
-        return plan.describe() + f"\nengine: {session.engine} -> {resolved}"
-
-    def cmd_run(self, arguments: List[str]) -> str:
-        if self.session is None:
-            raise WorkbenchError("load a dataset first")
-        if arguments:
-            raise WorkbenchError(f"unknown flag {arguments[0]!r}")
-        result = self.session.run()
-        return f"ran: {result.stats.summary()}"
-
-    def _require_streaming(self):
-        """The lazily created streaming wrapper around the live session."""
-        from .streaming import StreamingSession
-
-        session = self._require_session()
-        if self.tables is None or self.blocker is None:
+        rules, gold_path = options.pop("rules"), options.pop("gold", None)
+        payload = {
+            "rules": rules,
+            "blocker": {"kind": "overlap", "min_overlap": 1, **options},
+            "ordering": "algorithm5",
+        }
+        try:
+            payload["table_a"], payload["table_b"] = (
+                table_to_payload(load_table(path)) for path in arguments[:2]
+            )
+            if gold_path is not None:
+                payload["gold"] = sorted(map(list, load_gold(gold_path)))
+        except OSError as error:
             raise WorkbenchError(
-                "no live tables; 'load' or 'load-csv' a dataset first"
-            )
-        if self.streaming is None or self.streaming.session is not session:
-            self.streaming = StreamingSession.adopt(
-                session, self.tables[0], self.tables[1], self.blocker
-            )
-        return self.streaming
+                f"cannot read {error.filename}: {error.strerror}"
+            ) from error
+        return _render_created(send("create_session", payload))
 
-    def cmd_ingest(self, arguments: List[str]) -> str:
+    def verb_ingest(self, send: Send, arguments: List[str]) -> str:
         """``ingest <insert|update|delete> <a|b> <id> [attr=value ...]``"""
-        from .streaming import Delta
-
         if len(arguments) < 3:
             raise WorkbenchError(
                 "usage: ingest <insert|update|delete> <a|b> <record_id> "
                 "[attr=value ...]"
             )
         op, side, record_id, *assignments = arguments
+        if op not in ("insert", "update", "delete"):
+            raise WorkbenchError(
+                f"unknown delta op {op!r}; use insert, update, or delete"
+            )
         values = {}
         for assignment in assignments:
             attribute, separator, value = assignment.partition("=")
             if not separator or not attribute:
-                raise WorkbenchError(
-                    f"expected attr=value, got {assignment!r}"
-                )
+                raise WorkbenchError(f"expected attr=value, got {assignment!r}")
             values[attribute] = value if value != "" else None
-        try:
-            if op == "delete":
-                if values:
-                    raise WorkbenchError("delete takes no attr=value arguments")
-                delta = Delta.delete(side, record_id)
-            elif op in ("insert", "update"):
-                delta = Delta(op, side, record_id, values)
-            else:
+        delta = {"op": op, "side": side, "id": record_id}
+        if op != "delete":
+            delta["values"] = values
+        elif values:
+            raise WorkbenchError("delete takes no attr=value arguments")
+        batch = send("ingest", {"deltas": [delta]})["batch"]
+        return (
+            f"ingested: {stats_from_dict(batch['stats']).delta_summary()}, "
+            f"matches={batch['match_count']}"
+        )
+
+    def _edit(self, kind: str, send: Send, arguments: List[str]) -> str:
+        """The rule-edit verbs (Algorithms 7-10), one ``edit`` payload each."""
+        fields = _EDIT_FIELDS[kind]
+        if kind == "add_rule" and arguments:
+            arguments = [" ".join(arguments)]
+        if len(arguments) != len(fields):
+            raise WorkbenchError(
+                f"usage: {kind.replace('_', '-')} "
+                + " ".join(f"<{field}>" for field in fields)
+            )
+        payload = {"kind": kind, **dict(zip(fields, arguments))}
+        if "threshold" in payload:
+            try:
+                payload["threshold"] = float(payload["threshold"])
+            except ValueError:
                 raise WorkbenchError(
-                    f"unknown delta op {op!r}; use insert, update, or delete"
-                )
-            streaming = self._require_streaming()
-            result = streaming.ingest(delta)
-        except ReproError as error:
-            if isinstance(error, WorkbenchError):
-                raise
-            raise WorkbenchError(str(error)) from error
-        return f"ingested: {result.summary()}"
+                    f"{payload['threshold']!r} is not a number"
+                ) from None
+        return _render_edit(send("edit_rule", payload))
 
-    def cmd_delta_stats(self, arguments: List[str]) -> str:
-        if self.streaming is None or not self.streaming.batch_history:
-            return "no deltas ingested yet"
-        lines = [
-            f"{index + 1}. {result.summary()}"
-            for index, result in enumerate(self.streaming.batch_history)
-        ]
-        total = self.streaming.total_batch_stats()
-        lines.append(f"total: {total.delta_summary()}")
-        return "\n".join(lines)
-
-    def cmd_rules(self, arguments: List[str]) -> str:
-        session = self._require_session()
-        return "\n".join(format_rule(rule) for rule in session.function.rules)
-
-    def cmd_metrics(self, arguments: List[str]) -> str:
-        session = self._require_session()
-        return session.metrics().summary()
-
-    def cmd_explain(self, arguments: List[str]) -> str:
+    def verb_explain(self, send: Send, arguments: List[str]) -> str:
         if len(arguments) != 2:
             raise WorkbenchError("usage: explain <a_id> <b_id>")
-        session = self._require_session()
-        try:
-            return session.explain(arguments[0], arguments[1]).render()
-        except KeyError:
-            raise WorkbenchError(
-                f"({arguments[0]}, {arguments[1]}) is not a candidate pair"
-            ) from None
+        a_id, b_id = arguments
+        return _render_explanation(send("explain", {"a_id": a_id, "b_id": b_id}))
 
-    def _threshold_change(self, arguments: List[str], change_class) -> str:
-        if len(arguments) != 3:
+    def verb_refine(self, send: Send, arguments: List[str]) -> str:
+        """``refine [--budget N] [--beam W] [--depth D] [--seed K]
+        [--space]`` searches and prints the Pareto frontier; ``refine
+        apply <n>`` applies the n-th entry of the last search."""
+        if arguments[:1] == ["apply"]:
+            return self._refine_apply(send, arguments[1:])
+        payload = _parse_flags(arguments, {
+            "--budget": ("budget", int),
+            "--beam": ("beam_width", int),
+            "--depth": ("max_depth", int),
+            "--seed": ("seed", int),
+            "--space": ("feature_space", None),
+        }, "refine [--budget N] [--beam W] [--depth D] [--seed K] [--space]")
+        reply = send("refine", payload)
+        self.refinement = {
+            "session": reply["session"],
+            "payload": payload,
+            "frontier": [point["edits"] for point in reply["report"]["frontier"]],
+        }
+        return _render_refinement(reply["report"])
+
+    def _refine_apply(self, send: Send, arguments: List[str]) -> str:
+        """Re-send the last search with ``"apply": n-1``.  The search is
+        deterministic under its seed, so it lists the same frontier unless
+        the session changed since; a re-search without ``apply`` checks
+        that first, and nothing is applied if the entry's edits differ."""
+        if len(arguments) != 1 or not arguments[0].isdigit():
+            raise WorkbenchError("usage: refine apply <frontier number>")
+        last, position = self.refinement, int(arguments[0]) - 1
+        if last is None:
+            raise WorkbenchError("no refinement result; run 'refine' first")
+        if not 0 <= position < len(last["frontier"]):
             raise WorkbenchError(
-                f"usage: {change_class.__name__.lower()} <rule> <slot> <threshold>"
+                f"no frontier entry #{arguments[0]} "
+                f"(the frontier has {len(last['frontier'])} point(s))"
             )
-        session = self._require_session()
-        rule_name, slot, threshold_text = arguments
-        try:
-            threshold = float(threshold_text)
-        except ValueError:
-            raise WorkbenchError(f"{threshold_text!r} is not a number") from None
-        change = change_class(rule_name, slot, threshold)
-        change.validate(session.function)
-        outcome = session.apply(change)
-        return outcome.summary()
+        listed = last["frontier"][position]
+        if not listed:
+            return "that frontier point is the unedited baseline"
+        reply = send("refine", last["payload"])
+        frontier = reply["report"]["frontier"]
+        if reply["session"] != last["session"] or not (
+            position < len(frontier) and frontier[position]["edits"] == listed
+        ):
+            raise WorkbenchError(
+                f"frontier entry #{arguments[0]} is not the one listed (the "
+                f"session changed); nothing applied, run 'refine' again"
+            )
+        self.refinement = None
+        applied = send("refine", {**last["payload"], "apply": position})["applied"]
+        if applied["edits"] != listed:
+            raise WorkbenchError(
+                f"the session changed during the request: applied "
+                f"[{'; '.join(applied['edits'])}], not [{'; '.join(listed)}]"
+            )
+        lines = [f"applied: {'; '.join(applied['edits'])}"]
+        if applied["confusion"] is not None:
+            lines.append(_render_confusion(applied["confusion"]))
+        return "\n".join(lines)
 
-    def cmd_tighten(self, arguments: List[str]) -> str:
-        return self._threshold_change(arguments, TightenPredicate)
+    def verb_metrics(self, send: Send, arguments: List[str]) -> str:
+        """P/R/F1 against gold, from the ``matches`` reply."""
+        if arguments:
+            raise WorkbenchError("usage: metrics")
+        confusion = send("matches").get("confusion")
+        if confusion is None:
+            raise WorkbenchError("the session has no gold labels to score against")
+        return _render_confusion(confusion)
 
-    def cmd_relax(self, arguments: List[str]) -> str:
-        return self._threshold_change(arguments, RelaxPredicate)
+    def verb_trace(self, send: Send, arguments: List[str]) -> str:
+        """``trace [--json]`` — span tree of everything recorded so far."""
+        if arguments not in ([], ["--json"]):
+            raise WorkbenchError("usage: trace [--json]")
+        spans = send("trace")["spans"]
+        if not spans:
+            return "no spans recorded yet; 'run' or 'ingest' something first"
+        if arguments:
+            return "\n".join(
+                json.dumps(span, sort_keys=True, default=str) for span in spans
+            )
+        log = SpanLog()
+        log.records = [SpanRecord(**span) for span in spans]
+        return log.render()
 
-    def cmd_drop_rule(self, arguments: List[str]) -> str:
-        if len(arguments) != 1:
-            raise WorkbenchError("usage: drop-rule <rule>")
-        session = self._require_session()
-        change = RemoveRule(arguments[0])
-        change.validate(session.function)
-        return session.apply(change).summary()
+    def verb_stats(self, send: Send, arguments: List[str]) -> str:
+        """Rule-set structure plus the session's engine metrics."""
+        if arguments:
+            raise WorkbenchError("usage: stats")
+        structure = send("session_info")["structure"]
+        snapshot = send("metrics")["snapshot"]
+        metrics = [_render_metric(name, data) for name, data in snapshot.items()]
+        return "\n".join([structure, "", "metrics:", *metrics])
 
-    def cmd_drop_predicate(self, arguments: List[str]) -> str:
-        if len(arguments) != 2:
-            raise WorkbenchError("usage: drop-predicate <rule> <slot>")
-        session = self._require_session()
-        change = RemovePredicate(arguments[0], arguments[1])
-        change.validate(session.function)
-        return session.apply(change).summary()
+    # ------------------------------------------------------------------
+    # Local-only commands: read the hosted session under its lock
+    # ------------------------------------------------------------------
 
-    def cmd_add_rule(self, arguments: List[str]) -> str:
-        if not arguments:
-            raise WorkbenchError("usage: add-rule <rule DSL text>")
-        session = self._require_session()
-        resolver = self.workload.space.resolver() if self.workload else None
-        rule = parse_rule(" ".join(arguments), resolver)
-        change = AddRule(rule)
-        change.validate(session.function)
-        return session.apply(change).summary()
+    def cmd_help(self, arguments: List[str]) -> str:
+        return """commands ('*': also 'remote <command> <session> [args]' on a server):
+* load <dataset> [--scale S] [--rules N] [--seed K]   build the workload, match
+* load-csv <a.csv> <b.csv> --block <attr> [--overlap N] [--gold g.csv]
+           --rules '<DSL>'            your own tables and rules, matched
+* metrics                      P/R/F1 against gold
+* explain <a_id> <b_id>        per-rule, per-predicate trace
+* tighten <rule> <slot> <thr>  stricter threshold (Alg 7)
+* relax <rule> <slot> <thr>    looser threshold (Alg 8)
+* drop-predicate <rule> <slot> remove a predicate (Alg 8)
+* drop-rule <rule>             remove a rule (Alg 9)
+* add-rule <dsl text>          add a rule (Alg 10)
+* ingest <insert|update|delete> <a|b> <id> [attr=value ...]
+                               apply a record delta, re-match affected pairs
+* refine [--budget N] [--beam W] [--depth D] [--seed K] [--space]
+                               edit search -> Pareto frontier (P, R, cost)
+* refine apply <n>             re-run that search and apply entry n
+* stats                        rule-set structure + engine metrics
+* trace [--json]               span tree of run/ingest timings
+  run                          full re-match (orders rules first)
+  rules | history              current rules | applied edits with timings
+  plan                         compiled plan with cost/selectivity estimates
+  delta-stats                  per-batch streaming counters
+  suggest [tighten|relax]      ranked edit proposals; apply <n> applies one
+  memory | cache stats         state bytes | token caches and bound skips
+  profile [on|off] [--sample N]  sampled per-feature cost profile
+  drift                        observed vs estimated costs, stale ordering
+  simplify | lint | report     subsumed rules | rule checks | rule precision
+  save <dir> | restore <dir>   checkpoint / restore the session
+  serve start [port] [ckpt-dir] | status | stop    in-process service
+  remote connect <host:port>   point 'remote' at a server
+  remote sessions | info <session> | close <session>
+  top [--watch N] [--interval S]  dashboard from /metrics and /health"""
+
+    def cmd_rules(self, arguments: List[str]) -> str:
+        return self.hosted.read(
+            lambda streaming: "\n".join(map(format_rule, streaming.function.rules))
+        )
+
+    def cmd_plan(self, arguments: List[str]) -> str:
+        """The compiled evaluation plan of the current function (kernel
+        support and fallback reasons, bound eligibility, cost-model
+        annotations) and the engine the session picks for it."""
+        if arguments:
+            raise WorkbenchError("usage: plan")
+
+        def describe(streaming) -> str:
+            session = streaming.session
+            plan = session.state.plan
+            resolved = plan.engine_for(session.engine)
+            return plan.describe() + f"\nengine: {session.engine} -> {resolved}"
+
+        return self.hosted.read(describe)
+
+    def cmd_run(self, arguments: List[str]) -> str:
+        if arguments:
+            raise WorkbenchError(f"unknown flag {arguments[0]!r}")
+        result = self.hosted.write(lambda streaming: streaming.run())
+        return f"ran: {result.stats.summary()}"
+
+    def cmd_delta_stats(self, arguments: List[str]) -> str:
+        def describe(streaming) -> str:
+            if not streaming.batch_history:
+                return "no deltas ingested yet"
+            return "\n".join([
+                *(
+                    f"{index + 1}. {result.summary()}"
+                    for index, result in enumerate(streaming.batch_history)
+                ),
+                f"total: {streaming.total_batch_stats().delta_summary()}",
+            ])
+
+        return self.hosted.read(describe)
 
     def cmd_suggest(self, arguments: List[str]) -> str:
-        session = self._require_session()
-        if session.gold is None:
-            raise WorkbenchError("suggestions need gold labels")
         kind = arguments[0] if arguments else "tighten"
-        if kind == "tighten":
-            self.suggestions = suggest_tightenings(session.state, session.gold)
-        elif kind == "relax":
-            self.suggestions = suggest_relaxations(session.state, session.gold)
-        else:
+        propose = {"tighten": suggest_tightenings, "relax": suggest_relaxations}
+        if kind not in propose or len(arguments) > 1:
             raise WorkbenchError("usage: suggest [tighten|relax]")
+
+        def suggest(streaming):
+            session = streaming.session
+            if session.gold is None:
+                raise WorkbenchError("suggestions need gold labels")
+            return propose[kind](session.state, session.gold)
+
+        self.suggestions = self.hosted.read(suggest)
         if not self.suggestions:
             return "no suggestions (nothing to fix in this direction)"
         return "\n".join(
@@ -472,94 +662,20 @@ class Workbench:
             raise WorkbenchError("usage: apply <suggestion number>")
         position = int(arguments[0]) - 1
         if not 0 <= position < len(self.suggestions):
-            raise WorkbenchError(
-                f"no suggestion #{arguments[0]}; run 'suggest' first"
-            )
-        session = self._require_session()
-        suggestion = self.suggestions.pop(position)
-        outcome = session.apply(suggestion.change)
-        return outcome.summary()
-
-    def cmd_refine(self, arguments: List[str]) -> str:
-        """Automated refinement search (see :mod:`repro.refine`):
-        ``refine [--budget N] [--beam W] [--depth D] [--seed K] [--space]``
-        searches and prints the Pareto frontier; ``refine apply <n>``
-        applies the n-th frontier entry of the last search."""
-        session = self._require_session()
-        if arguments and arguments[0] == "apply":
-            if len(arguments) != 2 or not arguments[1].isdigit():
-                raise WorkbenchError("usage: refine apply <frontier number>")
-            if self.refinement is None:
-                raise WorkbenchError("no refinement result; run 'refine' first")
-            position = int(arguments[1]) - 1
-            frontier = self.refinement.frontier
-            if not 0 <= position < len(frontier):
-                raise WorkbenchError(
-                    f"no frontier entry #{arguments[1]} "
-                    f"(the frontier has {len(frontier)} point(s))"
-                )
-            candidate = frontier[position]
-            self.refinement = None
-            if not candidate.edits:
-                return "that frontier point is the unedited baseline"
-            outcomes = session.apply_many(candidate.edits)
-            lines = [outcome.summary() for outcome in outcomes]
-            if session.gold is not None:
-                lines.append(session.metrics().summary())
-            return "\n".join(lines)
-
-        if session.gold is None:
-            raise WorkbenchError("refinement needs gold labels")
-        options = {}
-        use_space = False
-        iterator = iter(arguments)
-        flag_names = {
-            "--budget": "budget",
-            "--beam": "beam_width",
-            "--depth": "max_depth",
-            "--seed": "seed",
-        }
-        for flag in iterator:
-            if flag == "--space":
-                use_space = True
-                continue
-            key = flag_names.get(flag)
-            if key is None:
-                raise WorkbenchError(f"unknown flag {flag!r}")
-            try:
-                options[key] = int(next(iterator))
-            except (StopIteration, ValueError):
-                raise WorkbenchError(f"{flag} needs an integer") from None
-        feature_space = (
-            self.workload.space if (use_space and self.workload) else None
-        )
-        report = session.refine(feature_space=feature_space, **options)
-        self.refinement = report
-        lines = [
-            f"baseline: {report.baseline.summary()}",
-            f"scored {report.candidates_scored} candidate(s) in "
-            f"{report.rounds} round(s) "
-            f"({report.incremental_evals} incremental evals, "
-            f"{report.full_rematches} full re-matches)",
-        ]
-        for index, candidate in enumerate(report.frontier):
-            marker = "*" if candidate is report.best else " "
-            lines.append(f"{index + 1}.{marker} {candidate.summary()}")
-        lines.append("apply one with: refine apply <n>")
-        return "\n".join(lines)
+            raise WorkbenchError(f"no suggestion #{arguments[0]}; run 'suggest' first")
+        change = self.suggestions.pop(position).change
+        return self.hosted.write(lambda streaming: streaming.apply(change)).summary()
 
     def cmd_history(self, arguments: List[str]) -> str:
-        session = self._require_session()
-        if not session.history:
+        history = self.hosted.read(lambda streaming: list(streaming.session.history))
+        if not history:
             return "no edits applied yet"
         return "\n".join(
-            f"{index + 1}. {result.summary()}"
-            for index, result in enumerate(session.history)
+            f"{index + 1}. {result.summary()}" for index, result in enumerate(history)
         )
 
     def cmd_memory(self, arguments: List[str]) -> str:
-        session = self._require_session()
-        report = session.memory_report()
+        report = self.hosted.read(lambda streaming: streaming.session.memory_report())
         return (
             f"memo {report['memo'] / 1e6:.2f}MB, "
             f"rule bitmaps {report['rule_bitmaps'] / 1e6:.2f}MB, "
@@ -569,152 +685,115 @@ class Workbench:
 
     def cmd_cache(self, arguments: List[str]) -> str:
         """``cache stats`` — per-(attribute, tokenizer) token-cache report.
-
-        Folds the session's live kernel counters into the metrics
-        registry first, so the printed totals match what ``stats`` and the
-        rendered metrics show.
-        """
+        Folds the live kernel counters into the metrics registry first, so
+        the totals match what ``stats`` shows."""
         if arguments not in ([], ["stats"]):
             raise WorkbenchError("usage: cache stats")
-        session = self._require_session()
-        kernels = session.kernels
-        if kernels is None:
-            return "token caching is off (session built with use_kernels=False)"
-        if self.observability is not None:
-            kernels.report_metrics(self.observability.metrics)
-        rows = kernels.cache.stats()
-        if not rows:
-            return "token cache is empty; 'run' something first"
-        lines = [
-            "cache (attribute:tokenizer)            entries      hits    misses  hit-rate"
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['label']:<38}{row['entries']:>8}{row['hits']:>10}"
-                f"{row['misses']:>10}{row['hit_rate']:>9.1%}"
-            )
-        total_accesses = kernels.cache.total_hits + kernels.cache.total_misses
-        overall = (
-            kernels.cache.total_hits / total_accesses if total_accesses else 0.0
-        )
-        lines.append(
-            f"total: {len(kernels.cache)} entries, "
-            f"{kernels.cache.total_hits} hits / {total_accesses} accesses "
-            f"({overall:.1%}), {kernels.total_bound_skips} bound skips"
-        )
-        if kernels.bound_skips:
-            lines.append("bound skips by predicate:")
-            for pid, count in sorted(kernels.bound_skips.items()):
-                lines.append(f"  {pid:<48}{count:>8}")
-        return "\n".join(lines)
 
-    def cmd_stats(self, arguments: List[str]) -> str:
-        from .core.analysis import describe_function
+        def describe(streaming) -> str:
+            kernels = streaming.session.kernels
+            if kernels is None:
+                return "token caching is off (session built with use_kernels=False)"
+            if streaming.observability is not None:
+                kernels.report_metrics(streaming.observability.metrics)
+            cache, rows = kernels.cache, kernels.cache.stats()
+            if not rows:
+                return "token cache is empty; 'run' something first"
+            accesses = cache.total_hits + cache.total_misses
+            return "\n".join([
+                f"{'cache (attribute:tokenizer)':<38}{'entries':>8}{'hits':>10}"
+                f"{'misses':>10}{'hit-rate':>10}",
+                *(
+                    f"{row['label']:<38}{row['entries']:>8}{row['hits']:>10}"
+                    f"{row['misses']:>10}{row['hit_rate']:>9.1%}"
+                    for row in rows
+                ),
+                f"total: {len(cache)} entries, {cache.total_hits} hits / "
+                f"{accesses} accesses "
+                f"({cache.total_hits / accesses if accesses else 0.0:.1%}), "
+                f"{kernels.total_bound_skips} bound skips",
+                *(["bound skips by predicate:"] if kernels.bound_skips else []),
+                *(
+                    f"  {pid:<48}{count:>8}"
+                    for pid, count in sorted(kernels.bound_skips.items())
+                ),
+            ])
 
-        session = self._require_session()
-        output = describe_function(session.function)
-        if self.observability is not None and len(self.observability.metrics):
-            output += "\n\nmetrics:\n" + self.observability.metrics.render()
-        return output
-
-    def cmd_trace(self, arguments: List[str]) -> str:
-        """``trace [--json]`` — span tree of everything recorded so far."""
-        if arguments and arguments != ["--json"]:
-            raise WorkbenchError("usage: trace [--json]")
-        if self.observability is None or not len(self.observability.tracer.log):
-            return "no spans recorded yet; 'run' or 'ingest' something first"
-        if arguments:
-            return self.observability.tracer.log.to_json_lines()
-        return self.observability.tracer.log.render()
+        return self.hosted.read(describe)
 
     def cmd_profile(self, arguments: List[str]) -> str:
-        """``profile [on|off] [--sample N]`` — toggle/show cost profiling.
+        """``profile [on|off] [--sample N]``: with no arguments, the
+        observed-cost table so far; ``on`` attaches a fresh profiler
+        (sampling one feature computation in N) that later ``run`` and
+        ``ingest`` calls feed; ``off`` detaches it."""
+        mode = arguments[0] if arguments[:1] in (["on"], ["off"]) else None
+        sample_every = _parse_flags(
+            arguments[1:] if mode else arguments,
+            {"--sample": ("sample", int)},
+            "profile [on|off] [--sample N]",
+        ).get("sample", DEFAULT_SAMPLE_EVERY)
+        if sample_every < 1:
+            raise WorkbenchError("--sample must be >= 1")
 
-        With no arguments, prints the observed-cost table collected so
-        far.  ``on`` attaches a fresh profiler (sampling 1-of-every-N
-        feature computations, default 1/{default}); subsequent ``run`` /
-        ``ingest`` calls feed it.  ``off`` detaches it.
-        """
-        if self.observability is None:
-            raise WorkbenchError("load a dataset first")
-        sample_every = DEFAULT_SAMPLE_EVERY
-        mode = None
-        iterator = iter(arguments)
-        for token in iterator:
-            if token in ("on", "off"):
-                mode = token
-            elif token == "--sample":
-                try:
-                    sample_every = int(next(iterator))
-                except StopIteration:
-                    raise WorkbenchError("--sample needs a value") from None
-                except ValueError:
-                    raise WorkbenchError("--sample needs an integer") from None
-                if sample_every < 1:
-                    raise WorkbenchError("--sample must be >= 1")
-            else:
-                raise WorkbenchError("usage: profile [on|off] [--sample N]")
-        if mode == "on":
-            self.observability.enable_profiling(sample_every=sample_every)
-            return (
-                f"profiling on (sampling 1/{sample_every}); "
-                "'run' to collect, 'profile' to inspect, 'drift' to compare"
-            )
-        if mode == "off":
-            self.observability.disable_profiling()
-            return "profiling off"
-        profiler = self.observability.profiler
-        if profiler is None:
-            return "profiling is off; 'profile on' to enable"
-        return profiler.render()
+        def toggle(streaming) -> str:
+            observability = streaming.observability
+            if mode == "on":
+                observability.enable_profiling(sample_every=sample_every)
+                return (
+                    f"profiling on (sampling 1/{sample_every}); "
+                    "'run' to collect, 'profile' to inspect, 'drift' to compare"
+                )
+            if mode == "off":
+                observability.disable_profiling()
+                return "profiling off"
+            if observability.profiler is None:
+                return "profiling is off; 'profile on' to enable"
+            return observability.profiler.render()
 
-    cmd_profile.__doc__ = cmd_profile.__doc__.format(default=DEFAULT_SAMPLE_EVERY)
+        return self.hosted.read(toggle)
 
     def cmd_drift(self, arguments: List[str]) -> str:
         """Compare observed costs/selectivities against the estimates."""
-        session = self._require_session()
-        profiler = (
-            self.observability.profiler if self.observability is not None else None
-        )
-        if profiler is None:
-            raise WorkbenchError(
-                "drift needs a profile; 'profile on' then 'run' first"
-            )
-        if session.estimates is None:
-            raise WorkbenchError(
-                "no cost estimates to compare against; 'run' first"
-            )
-        report = detect_drift(
-            session.function,
-            session.estimates,
-            profiler,
-            ordering_strategy=session.ordering_strategy,
-        )
-        return report.render()
+
+        def compare(streaming) -> str:
+            session, profiler = streaming.session, streaming.observability.profiler
+            if profiler is None:
+                raise WorkbenchError(
+                    "drift needs a profile; 'profile on' then 'run' first"
+                )
+            if session.estimates is None:
+                raise WorkbenchError(
+                    "no cost estimates to compare against; 'run' first"
+                )
+            return detect_drift(
+                session.function, session.estimates, profiler,
+                ordering_strategy=session.ordering_strategy,
+            ).render()
+
+        return self.hosted.read(compare)
 
     def cmd_simplify(self, arguments: List[str]) -> str:
-        """Report (not apply) subsumption redundancy in the current rules.
-
-        Applying removals mid-session would need one RemoveRule change per
-        redundant rule; the command prints the exact commands to run.
-        """
+        """Report (not apply) subsumed rules, with the commands to drop them."""
         from .learning.simplify import redundancy_report
 
-        session = self._require_session()
-        pairs = redundancy_report(session.function)
+        pairs = self.hosted.read(
+            lambda streaming: redundancy_report(streaming.function)
+        )
         if not pairs:
             return "no subsumed rules"
-        lines = [
+        return "\n".join(
             f"{specific} is subsumed by {general}  ->  drop-rule {specific}"
             for general, specific in pairs
-        ]
-        return "\n".join(lines)
+        )
 
     def cmd_lint(self, arguments: List[str]) -> str:
         from .core.validation import lint_function
 
-        session = self._require_session()
-        findings = lint_function(session.function, session.estimates)
+        findings = self.hosted.read(
+            lambda streaming: lint_function(
+                streaming.function, streaming.session.estimates
+            )
+        )
         if not findings:
             return "no findings — the rule set is clean"
         return "\n".join(finding.render() for finding in findings)
@@ -722,31 +801,33 @@ class Workbench:
     def cmd_report(self, arguments: List[str]) -> str:
         from .evaluation.debug_report import build_report, render_report
 
-        session = self._require_session()
-        if session.gold is None:
-            raise WorkbenchError("the report needs gold labels")
-        return render_report(build_report(session.state, session.gold))
+        def report(streaming) -> str:
+            session = streaming.session
+            if session.gold is None:
+                raise WorkbenchError("the report needs gold labels")
+            return render_report(build_report(session.state, session.gold))
+
+        return self.hosted.read(report)
 
     def cmd_save(self, arguments: List[str]) -> str:
         if len(arguments) != 1:
             raise WorkbenchError("usage: save <directory>")
-        session = self._require_session()
-        path = save_state(session.state, arguments[0])
+        path = self.registry.checkpoint(self.hosted.name, arguments[0])
         return f"state saved to {path}"
 
     def cmd_restore(self, arguments: List[str]) -> str:
         if len(arguments) != 1:
             raise WorkbenchError("usage: restore <directory>")
-        if self.session is None:
-            raise WorkbenchError("load the same dataset first, then restore")
-        resolver = self.workload.space.resolver() if self.workload else None
-        state = load_state(arguments[0], self.session.candidates, resolver)
-        self.session.state = state
+        name = self._next_name()
+        try:
+            state = self.registry.restore(arguments[0], name).streaming.state
+        except ReproError as error:
+            raise WorkbenchError(str(error)) from error
+        self._host(name)
         return (
             f"state restored: {state.match_count()} matches, "
             f"{len(state.memo)} memoized values"
         )
-
 
     # ------------------------------------------------------------------
     # Service layer: embedded server + remote client
@@ -755,54 +836,44 @@ class Workbench:
     def cmd_serve(self, arguments: List[str]) -> str:
         """``serve start [port] [checkpoint_dir]`` / ``status`` / ``stop``."""
         action = arguments[0] if arguments else "status"
+        running = self.service_thread is not None and self.service_thread.running
         if action == "start":
-            if self.service_thread is not None and self.service_thread.running:
+            if running:
                 host, port = self.service_thread.address
                 raise WorkbenchError(f"already serving on {host}:{port}")
             from .service import ServiceThread
 
-            port = 0
-            if len(arguments) > 1:
-                try:
-                    port = int(arguments[1])
-                except ValueError:
-                    raise WorkbenchError("serve start needs a numeric port") from None
-            checkpoint_root = arguments[2] if len(arguments) > 2 else None
-            self.service_thread = ServiceThread(
-                port=port, checkpoint_root=checkpoint_root
-            )
+            try:
+                port = int(arguments[1]) if len(arguments) > 1 else 0
+            except ValueError:
+                raise WorkbenchError("serve start needs a numeric port") from None
+            root = arguments[2] if len(arguments) > 2 else None
+            self.service_thread = ServiceThread(port=port, checkpoint_root=root)
             host, bound = self.service_thread.start()
-            restored = getattr(
-                self.service_thread.service, "restored_sessions", []
+            restored = self.service_thread.service.restored_sessions
+            return (
+                f"serving on {host}:{bound}"
+                + (f", checkpoints in {root}" if root else " (not durable)")
+                + (f", restored {len(restored)} session(s)" if restored else "")
             )
-            suffix = (
-                f", restored {len(restored)} session(s)" if restored else ""
-            )
-            durable = (
-                f", checkpoints in {checkpoint_root}"
-                if checkpoint_root
-                else " (not durable)"
-            )
-            return f"serving on {host}:{bound}{durable}{suffix}"
         if action == "status":
-            if self.service_thread is None or not self.service_thread.running:
+            if not running:
                 return "not serving"
             host, port = self.service_thread.address
             sessions = len(self.service_thread.service.registry)
             return f"serving on {host}:{port}, {sessions} session(s)"
         if action == "stop":
-            if self.service_thread is None or not self.service_thread.running:
+            if not running:
                 raise WorkbenchError("not serving")
             report = self.service_thread.stop()
             self.service_thread = None
             return (
                 f"stopped: drained={report['drained']} "
-                f"checkpointed={report['checkpointed']} "
-                f"flushed={report['flushed']}"
+                f"checkpointed={report['checkpointed']} flushed={report['flushed']}"
             )
         raise WorkbenchError("usage: serve start [port] [ckpt-dir] | status | stop")
 
-    def _require_remote(self):
+    def _require_remote(self) -> ServiceClient:
         if self.remote_client is None:
             raise WorkbenchError(
                 "no server connection; use 'remote connect <host:port>'"
@@ -810,314 +881,66 @@ class Workbench:
         return self.remote_client
 
     def cmd_remote(self, arguments: List[str]) -> str:
-        """Drive a running matching service over HTTP (see ``help``)."""
-        from .service import ServiceClient, ServiceClientError
-
+        """``remote connect|sessions|info|close`` and ``remote <verb>
+        <session> [args]`` for every shared verb (see ``help``)."""
         if not arguments:
-            raise WorkbenchError("usage: remote <connect|create|sessions|...>")
-        action, *rest = arguments
-        try:
-            if action == "connect":
-                if len(rest) != 1 or ":" not in rest[0]:
-                    raise WorkbenchError("usage: remote connect <host:port>")
-                host, _, port_text = rest[0].rpartition(":")
-                try:
-                    port = int(port_text)
-                except ValueError:
-                    raise WorkbenchError(f"bad port {port_text!r}") from None
-                client = ServiceClient(host, port)
-                health = client.health()
-                self.remote_client = client
-                return (
-                    f"connected to {host}:{port} "
-                    f"({health['sessions']} session(s), "
-                    f"{'durable' if health['durable'] else 'not durable'})"
-                )
-            return self._remote_action(action, rest)
-        except ServiceClientError as error:
-            raise WorkbenchError(
-                f"server error [{error.code}]: {error}"
-            ) from error
-        except (ConnectionError, OSError) as error:
-            raise WorkbenchError(f"connection failed: {error}") from error
-
-    def _remote_action(self, action: str, rest: List[str]) -> str:
-        client = self._require_remote()
-        if action == "create":
-            if len(rest) < 2:
-                raise WorkbenchError(
-                    "usage: remote create <name> <dataset> [--scale S] "
-                    "[--seed K]"
-                )
-            name, dataset, *flags = rest
-            spec = {"name": dataset}
-            iterator = iter(flags)
-            for flag in iterator:
-                try:
-                    if flag == "--scale":
-                        spec["scale"] = float(next(iterator))
-                    elif flag == "--seed":
-                        spec["seed"] = int(next(iterator))
-                    else:
-                        raise WorkbenchError(f"unknown flag {flag!r}")
-                except (StopIteration, ValueError):
-                    raise WorkbenchError(f"{flag} needs a value") from None
-            created = client.create_session({"name": name, "dataset": spec})
-            run = created["initial_run"]
+            raise WorkbenchError("usage: remote <verb> <session> [args]; try 'help'")
+        verb, *rest = arguments
+        if verb == "connect":
+            if len(rest) != 1 or ":" not in rest[0]:
+                raise WorkbenchError("usage: remote connect <host:port>")
+            host, _, port_text = rest[0].rpartition(":")
+            if not port_text.isdigit():
+                raise WorkbenchError(f"bad port {port_text!r}")
+            client = ServiceClient(host, int(port_text))
+            health = _over_http(client.health)
+            self.remote_client = client
             return (
-                f"created {name!r}: "
-                f"{created['session']['candidates']} candidates, "
-                f"{run['match_count']} matches"
+                f"connected to {host}:{port_text} ({health['sessions']} session(s), "
+                f"{'durable' if health['durable'] else 'not durable'})"
             )
-        if action == "sessions":
-            sessions = client.list_sessions()
-            if not sessions:
-                return "no sessions"
+        if verb == "sessions":
+            sessions = _over_http(self._require_remote().list_sessions)
             return "\n".join(
                 f"{info['name']}: {info['candidates']} candidates, "
                 f"{info['batches_ingested']} batch(es), seq={info['seq']}"
                 f"{' [dirty]' if info['dirty'] else ''}"
                 for info in sessions
-            )
-        if action == "info":
-            if len(rest) != 1:
-                raise WorkbenchError("usage: remote info <name>")
-            info = client.session_info(rest[0])
-            return (
-                f"{info['name']}: {info['candidates']} candidates, "
-                f"{info['batches_ingested']} batch(es), "
-                f"{info['edits_applied']} edit(s), "
-                f"rules: {', '.join(info['rules'])}"
-            )
-        if action == "close":
-            if len(rest) != 1:
-                raise WorkbenchError("usage: remote close <name>")
-            closed = client.close_session(rest[0])
+            ) or "no sessions"
+        if verb not in self._shared and verb not in ("info", "close"):
+            raise WorkbenchError(f"unknown remote verb {verb!r}; try 'help'")
+        if not rest or (verb in ("info", "close") and len(rest) != 1):
+            raise WorkbenchError(f"usage: remote {verb} <session> [args]")
+        send = self._remote_send(rest[0])
+        if verb in self._shared:
+            return self._shared[verb](send, rest[1:])
+        if verb == "close":
+            closed = send("close_session", {})
             return f"closed {closed['closed']!r} (checkpoint: {closed['checkpoint']})"
-        if action == "ingest":
-            if len(rest) < 4:
-                raise WorkbenchError(
-                    "usage: remote ingest <name> <op> <a|b> <id> [attr=value ...]"
-                )
-            name, op, side, record_id, *assignments = rest
-            values = {}
-            for assignment in assignments:
-                attribute, separator, value = assignment.partition("=")
-                if not separator or not attribute:
-                    raise WorkbenchError(f"expected attr=value, got {assignment!r}")
-                values[attribute] = value if value != "" else None
-            delta = {"op": op, "side": side, "id": record_id}
-            if op != "delete":
-                delta["values"] = values
-            result = client.ingest(name, [delta])["batch"]
-            return (
-                f"ingested: affected={result['affected']} "
-                f"+{len(result['gained'])}/-{len(result['lost'])} pairs, "
-                f"matches={result['match_count']}"
-            )
-        if action in ("tighten", "relax"):
-            if len(rest) != 4:
-                raise WorkbenchError(
-                    f"usage: remote {action} <name> <rule> <slot> <threshold>"
-                )
-            name, rule, slot, threshold = rest
-            try:
-                threshold_value = float(threshold)
-            except ValueError:
-                raise WorkbenchError(f"bad threshold {threshold!r}") from None
-            result = client.edit_rule(
-                name,
-                {"kind": action, "rule": rule, "slot": slot,
-                 "threshold": threshold_value},
-            )
-            return (
-                f"{result['change']}: affected={result['affected_pairs']} "
-                f"+{result['newly_matched']}/-{result['newly_unmatched']} matches"
-            )
-        if action == "refine":
-            if not rest:
-                raise WorkbenchError(
-                    "usage: remote refine <name> [--budget N] [--beam W] "
-                    "[--depth D] [--seed K] [--apply best|<index>]"
-                )
-            name, *flags = rest
-            options = {}
-            flag_names = {
-                "--budget": "budget",
-                "--beam": "beam_width",
-                "--depth": "max_depth",
-                "--seed": "seed",
-            }
-            iterator = iter(flags)
-            for flag in iterator:
-                try:
-                    if flag == "--apply":
-                        value = next(iterator)
-                        options["apply"] = (
-                            "best" if value == "best" else int(value)
-                        )
-                    elif flag in flag_names:
-                        options[flag_names[flag]] = int(next(iterator))
-                    else:
-                        raise WorkbenchError(f"unknown flag {flag!r}")
-                except (StopIteration, ValueError):
-                    raise WorkbenchError(f"{flag} needs a value") from None
-            result = client.refine(name, **options)
-            report = result["report"]
-            lines = [
-                f"baseline: P={report['baseline']['precision']:.3f} "
-                f"R={report['baseline']['recall']:.3f} "
-                f"F1={report['baseline']['f1']:.3f}",
-                f"scored {report['candidates_scored']} candidate(s), "
-                f"frontier of {len(report['frontier'])}:",
-            ]
-            for index, point in enumerate(report["frontier"]):
-                marker = "*" if index == report["best_index"] else " "
-                lines.append(
-                    f"{index + 1}.{marker} P={point['precision']:.3f} "
-                    f"R={point['recall']:.3f} F1={point['f1']:.3f} "
-                    f"cost={point['expected_cost'] * 1e6:.2f}us/pair "
-                    f"[{'; '.join(point['edits']) or 'no edits'}]"
-                )
-            if result.get("applied"):
-                lines.append(
-                    f"applied: {'; '.join(result['applied']['edits'])}"
-                )
-            return "\n".join(lines)
-        if action == "metrics":
-            if len(rest) != 1:
-                raise WorkbenchError("usage: remote metrics <name>")
-            snapshot = client.metrics(rest[0])["snapshot"]
-            lines = [f"{len(snapshot)} metric(s):"]
-            for metric_name in sorted(snapshot):
-                data = snapshot[metric_name]
-                value = data.get("value", data.get("count", data))
-                lines.append(f"  {metric_name} = {value}")
-            return "\n".join(lines)
-        if action == "trace":
-            if len(rest) != 1:
-                raise WorkbenchError("usage: remote trace <name>")
-            trace = client.trace(rest[0])
-            lines = [f"{trace['span_count']} span(s):"]
-            for span in trace["spans"][-20:]:
-                lines.append(
-                    f"  {span['name']}: {span['duration'] * 1000:.2f}ms"
-                )
-            return "\n".join(lines)
-        raise WorkbenchError(f"unknown remote action {action!r}; try 'help'")
+        info = send("session_info")
+        return (
+            f"{info['name']}: {info['candidates']} candidates, "
+            f"{info['batches_ingested']} batch(es), {info['edits_applied']} "
+            f"edit(s), rules: {', '.join(info['rules'])}"
+        )
 
     def cmd_top(self, arguments: List[str]) -> str:
-        """Live service dashboard: polls ``GET /metrics`` (+ health SLO).
-
-        ``top`` renders one frame; ``top --watch N [--interval S]`` polls
-        N times, S seconds apart, returning every frame — the REPL's
-        stand-in for a terminal dashboard (and directly testable, since
-        each frame is plain text built from one scrape).
-        """
-        from .observability.export import histogram_quantile, parse_prometheus
-
+        """Live service dashboard: ``top`` renders one frame from ``GET
+        /metrics`` and ``/health``; ``top --watch N [--interval S]`` polls
+        N times, S seconds apart, and returns every frame."""
         client = self._require_remote()
-        frames_wanted, interval = 1, 2.0
-        iterator = iter(arguments)
-        for flag in iterator:
-            try:
-                if flag == "--watch":
-                    frames_wanted = int(next(iterator))
-                elif flag == "--interval":
-                    interval = float(next(iterator))
-                else:
-                    raise WorkbenchError(f"unknown flag {flag!r}")
-            except (StopIteration, ValueError):
-                raise WorkbenchError(f"{flag} needs a value") from None
-        if frames_wanted < 1:
-            raise WorkbenchError("--watch needs a positive count")
-
+        options = _parse_flags(arguments, {
+            "--watch": ("frames", int),
+            "--interval": ("interval", float),
+        }, "top [--watch N] [--interval S]")
         frames = []
-        for frame_index in range(frames_wanted):
-            if frame_index:
-                time.sleep(interval)
-            frames.append(
-                self._render_top_frame(client, parse_prometheus, histogram_quantile)
-            )
+        for _ in range(options.get("frames", 1)):
+            if frames:
+                time.sleep(options.get("interval", 2.0))
+            frames.append(_over_http(_render_top_frame, client))
+        if not frames:
+            raise WorkbenchError("--watch needs a positive count")
         return "\n\n".join(frames)
-
-    @staticmethod
-    def _render_top_frame(client, parse_prometheus, histogram_quantile) -> str:
-        health = client.health()
-        parsed = parse_prometheus(client.scrape_metrics())
-        samples = parsed["samples"]
-
-        def sample(name, **labels):
-            return samples.get((name, tuple(sorted(labels.items()))))
-
-        lines = [
-            f"service: {health['status']}  sessions={health['sessions']}  "
-            f"durable={'yes' if health['durable'] else 'no'}  "
-            f"restore_failures={len(health['restore_failures'])}  "
-            f"restore_fallbacks={len(health['restore_fallbacks'])}"
-        ]
-        window = sample("repro_http_window_seconds")
-        endpoints = sorted(
-            {
-                dict(labels).get("endpoint")
-                for (name, labels) in samples
-                if name == "repro_http_requests" and labels
-            }
-            - {None}
-        )
-        if window is not None:
-            lines.append(
-                f"requests (last {window:g}s):  "
-                f"{sample('repro_http_requests') or 0:g} total, "
-                f"{(sample('repro_http_request_rate') or 0.0):.2f}/s, "
-                f"{(sample('repro_http_error_rate') or 0.0):.1%} errors"
-            )
-            for endpoint in endpoints:
-                p50 = histogram_quantile(
-                    samples, "repro_http_request_seconds", 0.5,
-                    labels={"endpoint": endpoint},
-                )
-                p95 = histogram_quantile(
-                    samples, "repro_http_request_seconds", 0.95,
-                    labels={"endpoint": endpoint},
-                )
-                lines.append(
-                    f"  {endpoint}: "
-                    f"n={sample('repro_http_requests', endpoint=endpoint) or 0:g} "
-                    f"err={(sample('repro_http_error_rate', endpoint=endpoint) or 0.0):.1%} "
-                    f"p50={(p50 or 0.0) * 1000:.1f}ms "
-                    f"p95={(p95 or 0.0) * 1000:.1f}ms"
-                )
-        for state in health.get("sessions_state", []):
-            lines.append(
-                f"  session {state['name']}: seq={state['seq']} "
-                f"pending={state['pending']}"
-                f"{' [dirty]' if state['dirty'] else ''}"
-            )
-        slo = health.get("slo")
-        if slo:
-            for objective in slo["objectives"]:
-                if objective["ok"] is None:
-                    verdict = "no data"
-                elif objective["ok"]:
-                    verdict = "OK"
-                else:
-                    verdict = "BREACH"
-                observed = objective["observed"]
-                observed_text = (
-                    f" observed={observed:.4g}" if observed is not None else ""
-                )
-                lines.append(
-                    f"  slo {objective['name']}: {verdict} "
-                    f"({objective['objective']}{observed_text})"
-                )
-            if slo["alerts"]:
-                latest = slo["alerts"][-1]
-                lines.append(
-                    f"  alerts: {slo['alerts_total']} total, "
-                    f"latest: {latest['message']}"
-                )
-        return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -764,23 +764,28 @@ class TestRefineColumnar:
 
 
 class TestWorkbenchPlan:
+    @pytest.fixture()
+    def bench(self, people_tables, tmp_path):
+        from repro.data import save_table
+
+        for table, path in zip(people_tables, ("a.csv", "b.csv")):
+            save_table(table, tmp_path / path)
+        bench = Workbench()
+        bench.execute(
+            f"load-csv {tmp_path / 'a.csv'} {tmp_path / 'b.csv'} "
+            f"--block name --rules '{SUPPORTED_DSL}'"
+        )
+        return bench
+
     def test_plan_requires_session(self):
         with pytest.raises(WorkbenchError, match="load a dataset"):
             Workbench().execute("plan")
 
-    def test_plan_rejects_arguments(self, people_candidates):
-        bench = Workbench()
-        bench.session = DebugSession(
-            people_candidates, parse_function(SUPPORTED_DSL)
-        )
+    def test_plan_rejects_arguments(self, bench):
         with pytest.raises(WorkbenchError, match="usage: plan"):
             bench.execute("plan --verbose")
 
-    def test_plan_renders_plan_and_resolution(self, people_candidates):
-        bench = Workbench()
-        bench.session = DebugSession(
-            people_candidates, parse_function(SUPPORTED_DSL)
-        )
+    def test_plan_renders_plan_and_resolution(self, bench):
         output = bench.execute("plan")
         assert "MatchPlan:" in output
         assert "engine: auto -> columnar" in output

@@ -631,7 +631,7 @@ class TestWorkbenchRefine:
         from repro.workbench import WorkbenchError
 
         bench.execute("refine --budget 20 --depth 1")
-        size = len(bench.refinement.frontier)
+        size = len(bench.refinement["frontier"])
         with pytest.raises(WorkbenchError):
             bench.execute(f"refine apply {size + 5}")
 

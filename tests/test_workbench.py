@@ -82,7 +82,8 @@ class TestInspection:
         # Per-(attribute, tokenizer) rows use the attribute:tokenizer label.
         assert ":" in output.splitlines()[1]
         # The command also folds the counters into the metrics registry.
-        assert loaded_bench.observability.metrics.value("cache.hit") > 0
+        metrics = loaded_bench.session.observability.metrics
+        assert metrics.value("cache.hit") > 0
 
     def test_cache_stats_before_run_fails(self):
         bench = Workbench()
@@ -157,17 +158,19 @@ class TestPersistenceCommands:
         matches_before = bench.session.state.match_count()
         bench.execute(f"save {tmp_path / 'session'}")
 
+        # restore rebuilds the whole session from the checkpoint: no 'load'
         fresh = Workbench()
-        fresh.execute("load products --scale 0.2 --rules 15 --seed 13")
-        fresh.execute("run")
         output = fresh.execute(f"restore {tmp_path / 'session'}")
         assert "restored" in output
         assert fresh.session.state.match_count() == matches_before
+        assert fresh.execute("metrics") == bench.execute("metrics")
 
     def test_restore_without_load(self, tmp_path):
         bench = Workbench()
-        with pytest.raises(WorkbenchError, match="load the same dataset"):
+        with pytest.raises(WorkbenchError, match="does not contain a saved session"):
             bench.execute(f"restore {tmp_path}")
+        with pytest.raises(WorkbenchError, match="no active run"):
+            bench.execute("metrics")
 
 
 class TestAnalysisCommands:
@@ -203,7 +206,8 @@ class TestObservabilityCommands:
         return bench
 
     def test_trace_before_any_run(self):
-        assert "no spans" in Workbench().execute("trace")
+        with pytest.raises(WorkbenchError, match="no active run"):
+            Workbench().execute("trace")
 
     def test_trace_renders_run_tree(self, obs_bench):
         output = obs_bench.execute("trace")
@@ -324,28 +328,28 @@ class TestStreamingCommands:
         return bench
 
     def test_ingest_update_reports_counters(self, bench):
-        record_id = bench.tables[0][0].record_id
+        record_id = bench.hosted.streaming.table_a[0].record_id
         output = bench.execute(f"ingest update a {record_id} author=Nobody")
         assert "deltas=1" in output
         assert "invalidated=" in output
 
     def test_ingest_delete_drops_pairs(self, bench):
-        record_id = bench.tables[1][0].record_id
+        record_id = bench.hosted.streaming.table_b[0].record_id
         before = len(bench.session.candidates)
         bench.execute(f"ingest delete b {record_id}")
-        assert record_id not in bench.tables[1]
+        assert record_id not in bench.hosted.streaming.table_b
         assert len(bench.session.candidates) <= before
         # the session's state follows the new candidate set
         assert len(bench.session.state.labels) == len(bench.session.candidates)
 
     def test_ingest_insert_new_record(self, bench):
-        title = bench.tables[1][0].get("title")
+        title = bench.hosted.streaming.table_b[0].get("title")
         output = bench.execute(f"ingest insert b zz99 title='{title}'")
         assert "deltas=1" in output
-        assert "zz99" in bench.tables[1]
+        assert "zz99" in bench.hosted.streaming.table_b
 
     def test_ingest_then_rule_edit_stays_sound(self, bench):
-        record_id = bench.tables[0][1].record_id
+        record_id = bench.hosted.streaming.table_a[1].record_id
         bench.execute(f"ingest update a {record_id} author=Changed")
         rule = bench.session.function.rules[0]
         predicate = rule.predicates[0]
@@ -359,8 +363,8 @@ class TestStreamingCommands:
         assert bench.execute("delta-stats") == "no deltas ingested yet"
 
     def test_delta_stats_accumulates(self, bench):
-        a_id = bench.tables[0][0].record_id
-        b_id = bench.tables[1][0].record_id
+        a_id = bench.hosted.streaming.table_a[0].record_id
+        b_id = bench.hosted.streaming.table_b[0].record_id
         bench.execute(f"ingest update a {a_id} author=X")
         bench.execute(f"ingest delete b {b_id}")
         output = bench.execute("delta-stats")
@@ -380,15 +384,13 @@ class TestStreamingCommands:
             bench.execute("ingest update a")
 
     def test_ingest_bad_assignment(self, bench):
-        record_id = bench.tables[0][0].record_id
+        record_id = bench.hosted.streaming.table_a[0].record_id
         with pytest.raises(WorkbenchError, match="attr=value"):
             bench.execute(f"ingest update a {record_id} notanassignment")
 
-    def test_ingest_before_run_fails(self):
-        bench = Workbench()
-        bench.execute("load books --scale 0.2 --rules 10")
+    def test_ingest_before_load_fails(self):
         with pytest.raises(WorkbenchError, match="no active run"):
-            bench.execute("ingest update a a0 title=x")
+            Workbench().execute("ingest update a a0 title=x")
 
     def test_ingest_workers_flag_error(self, bench):
         with pytest.raises(WorkbenchError, match="expected attr=value"):
@@ -433,9 +435,9 @@ class TestServiceCommands:
     def test_remote_session_lifecycle(self, serving_bench):
         bench = serving_bench
         created = bench.execute(
-            "remote create demo products --scale 0.2 --seed 7"
+            "remote load demo products --scale 0.2 --seed 7"
         )
-        assert "created 'demo'" in created and "matches" in created
+        assert "loaded products" in created and "matched=" in created
         assert "demo" in bench.execute("remote sessions")
         assert "rules:" in bench.execute("remote info demo")
 
@@ -443,9 +445,11 @@ class TestServiceCommands:
         assert "ingested" in ingested and "matches=" in ingested
 
         metrics = bench.execute("remote metrics demo")
-        assert "metric(s):" in metrics
+        assert "P=" in metrics and "F1=" in metrics
+        stats = bench.execute("remote stats demo")
+        assert "metrics:" in stats and "stream.batches: 1" in stats
         trace = bench.execute("remote trace demo")
-        assert "span(s):" in trace
+        assert "run  [" in trace and "ingest" in trace
 
         closed = bench.execute("remote close demo")
         assert "closed 'demo'" in closed
@@ -455,9 +459,9 @@ class TestServiceCommands:
         with pytest.raises(WorkbenchError, match="not_found"):
             serving_bench.execute("remote info ghost")
 
-    def test_remote_create_rejects_workers_flag(self, serving_bench):
+    def test_remote_load_rejects_workers_flag(self, serving_bench):
         with pytest.raises(WorkbenchError, match="unknown flag '--workers'"):
-            serving_bench.execute("remote create w products --workers 2")
+            serving_bench.execute("remote load w products --workers 2")
 
     def test_remote_connect_bad_target(self):
         bench = Workbench()
@@ -465,3 +469,89 @@ class TestServiceCommands:
             bench.execute("remote connect nocolon")
         with pytest.raises(WorkbenchError, match="bad port"):
             bench.execute("remote connect host:notaport")
+
+
+class TestOneCommandSurface:
+    """Every shared verb runs the same payload through the in-process
+    handlers and, as ``remote <verb> <session>``, through a server: the
+    two sessions must stay equal step for step.  (The cost-based rule
+    order comes from wall-clock sampling, so it may differ between the
+    two; labels, metrics and explain verdicts do not depend on it.)"""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        bench = Workbench()
+        address = bench.execute("serve start 0").split()[2]
+        bench.execute(f"remote connect {address}")
+        yield bench
+        bench.execute("serve stop")
+
+    @staticmethod
+    def both(bench, session, line):
+        verb, _, rest = line.partition(" ")
+        return bench.execute(line), bench.execute(f"remote {verb} {session} {rest}")
+
+    def assert_twins(self, bench, session, pair):
+        local, remote = self.both(bench, session, "metrics")
+        assert local == remote  # P/R/F1 and tp/fp/fn
+        matches = bench.remote_client.matches(session)["match_count"]
+        assert bench.session.state.match_count() == matches
+        local, remote = self.both(bench, session, "explain {} {}".format(*pair))
+        assert sorted(local.splitlines()) == sorted(remote.splitlines())
+
+    def test_script_keeps_local_and_remote_sessions_equal(self, bench):
+        local, remote = self.both(
+            bench, "twin", "load products --scale 0.2 --rules 20"
+        )
+        assert local == remote
+        pair = next(  # a matched pair the deltas below leave alone
+            bench.session.candidates[index].pair_id
+            for index in bench.session.state.matched_indices()
+            if "a0" not in bench.session.candidates[index].pair_id
+            and "b1" not in bench.session.candidates[index].pair_id
+        )
+        self.assert_twins(bench, "twin", pair)
+
+        rule = bench.session.function.rules[0]
+        predicate = next(p for p in rule.predicates if p.op in (">", ">="))
+        stricter = round(min(1.0, predicate.threshold + 0.05), 6)
+        script = [
+            f"tighten {rule.name} '{predicate.slot}' {stricter}",
+            f"relax {rule.name} '{predicate.slot}' {predicate.threshold}",
+            f"drop-rule {bench.session.function.rules[-1].name}",
+            "add-rule extra: tfidf_ws(title, title) >= 0.8",
+            "ingest update a a0 title='sony digital camera'",
+            "ingest delete b b1",
+        ]
+        for line in script:
+            self.both(bench, "twin", line)
+            self.assert_twins(bench, "twin", pair)
+
+    def test_refine_apply_applies_what_it_listed_in_both_modes(self, bench):
+        self.both(bench, "refined", "load products --scale 0.2 --rules 20")
+        for verb in ("refine ", "remote refine refined "):
+            listing = bench.execute(f"{verb}--budget 20")
+            entry = next(
+                line for line in listing.splitlines()
+                if line[:1].isdigit() and "(no edits)" not in line
+            )
+            number, edits = entry.split(".")[0], entry.split("  [")[1][:-1]
+            applied = bench.execute(f"{verb}apply {number}")
+            assert applied.splitlines()[0] == f"applied: {edits}"
+
+    def test_refine_apply_refuses_an_entry_that_changed(self, bench):
+        bench.execute("load products --scale 0.2 --rules 20")
+        bench.execute("refine --budget 20")
+        bench.refinement["frontier"][0] = ["tighten r0:x to 0.5"]
+        with pytest.raises(WorkbenchError, match="nothing applied"):
+            bench.execute("refine apply 1")
+        assert bench.execute("history") == "no edits applied yet"
+
+    def test_feature_space_refine_runs_on_a_dataset_session(self, bench):
+        bench.execute("load products --scale 0.2 --rules 20")
+        assert "baseline" in bench.execute("refine --budget 10 --space")
+
+    def test_top_renders_a_frame(self, bench):
+        frame = bench.execute("top")
+        assert frame.startswith("service: ") and "sessions=" in frame
+        assert "session twin" in frame
